@@ -122,17 +122,22 @@ def alignment_from_positions(
     n = len(u)
     remaining_u = [p for p in range(1, n + 1) if p not in dels_u]
     remaining_v = [p for p in range(1, n + 1) if p not in dels_v]
-    sub_set = set(subs_u)
+    return _merge_ops(zip(remaining_u, remaining_v), subs_u, sorted(dels_u), sorted(dels_v))
+
+
+def _merge_ops(pairs, subs, dels_u: list[int], dels_v: list[int]) -> Alignment:
+    """Alignment of matched ``pairs`` in order, each preceded by the sorted
+    deletions that come before it; a pair whose U position is in ``subs`` is
+    a substitution."""
+    sub_set = set(subs)
     ops: list[tuple] = []
     du = dv = 0
-    dels_u_sorted = sorted(dels_u)
-    dels_v_sorted = sorted(dels_v)
-    for a, b in zip(remaining_u, remaining_v):
-        while du < len(dels_u_sorted) and dels_u_sorted[du] < a:
-            ops.append(("del_u", dels_u_sorted[du]))
+    for a, b in pairs:
+        while du < len(dels_u) and dels_u[du] < a:
+            ops.append(("del_u", dels_u[du]))
             du += 1
-        while dv < len(dels_v_sorted) and dels_v_sorted[dv] < b:
-            ops.append(("del_v", dels_v_sorted[dv]))
+        while dv < len(dels_v) and dels_v[dv] < b:
+            ops.append(("del_v", dels_v[dv]))
             dv += 1
         ops.append(("sub" if a in sub_set else "match", a, b))
     return Alignment(tuple(ops))
@@ -275,18 +280,7 @@ class _PairState:
         )
 
     def alignment(self) -> Alignment:
-        sub_set = set(self.subs)
-        ops: list[tuple] = []
-        du = dv = 0
-        for a, b in self.pairs:
-            while du < len(self.dels_u) and self.dels_u[du] < a:
-                ops.append(("del_u", self.dels_u[du]))
-                du += 1
-            while dv < len(self.dels_v) and self.dels_v[dv] < b:
-                ops.append(("del_v", self.dels_v[dv]))
-                dv += 1
-            ops.append(("sub" if a in sub_set else "match", a, b))
-        return Alignment(tuple(ops))
+        return _merge_ops(self.pairs, self.subs, self.dels_u, self.dels_v)
 
     def error_entries(self) -> list[tuple[int, str]]:
         """Error positions tagged by owning side, sorted by (position, side)."""

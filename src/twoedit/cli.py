@@ -4,7 +4,8 @@ Exit codes: 0 success / property verified, 1 property violated or decode
 failure (a witness is emitted), 2 usage error, 3 resource cap exceeded.
 Machine mode (--machine) prints one record per line as space-separated
 key=value fields; output is byte-identical for identical configurations,
-including across worker counts.
+including across worker counts.  Inside a value "%" is written "%25" and a
+space "%20", so a field never contains a space.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import analysis, channel, code, decoder
-from .syndrome import MIN_CODE_LENGTH, sign_preserving_number, syndrome_tuple
+from .syndrome import MIN_CODE_LENGTH, SyndromeTuple, sign_preserving_number, syndrome_tuple
 from .words import Word, adjacency_profile, pad, parse_word, read_words
 
 EXIT_OK = 0
@@ -26,217 +26,157 @@ EXIT_RESOURCE = 3
 
 ROUND_BUDGET_ENV = "TWOEDIT_ROUND_BUDGET"
 
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    params: code.CodeParams | None = None
-    words: list[Word] = field(default_factory=list)
-    input_path: str | None = None
-    machine: bool = False
-    seed: int = 0
-    workers: int = 1
-    enum_cap: int | None = None
-    round_budget: int | None = None
-    mode: str = code.MODE_BUCKET
-    top: int = 5
-    index: int | None = None
-    pattern: str | None = None
-    random_edits: bool = False
-    vector: tuple[int, ...] | None = None
-    pair: tuple[Word, Word] | None = None
-    cut: tuple[int, int] | None = None
-    relation: tuple[int, int] | None = None
-    k: int = 5
-    action: str | None = None
+# field names of the four residues in syndrome and in code-parameter records
+S_KEYS = ("s0", "s1", "s2", "s3")
+K_KEYS = ("k1", "k2", "k3", "k4")
 
 
-def _emit(cfg: RunConfig, record: str, human: str, **fields) -> None:
-    if cfg.machine:
-        parts = [f"record={record}"] + [f"{k}={v}" for k, v in fields.items()]
-        print(" ".join(parts))
-    else:
+def _emit(args: argparse.Namespace, record: str, human: str | None, **fields) -> None:
+    """Print one record: its fields in machine mode, else ``human`` unless None."""
+    if args.machine:
+        escaped = {k: str(v).replace("%", "%25").replace(" ", "%20") for k, v in fields.items()}
+        print(" ".join([f"record={record}"] + [f"{k}={v}" for k, v in escaped.items()]))
+    elif human is not None:
         print(human)
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _residues(st: SyndromeTuple, keys: tuple[str, ...]) -> dict:
+    """The four residues of ``st`` as fields named ``keys``."""
+    return dict(zip(keys, (st.s0, st.s1, st.s2, st.s3)))
 
 
-def _params_fields(p: code.CodeParams) -> dict:
-    r = p.residues
-    return {"n": r.n, "k1": r.s0, "k2": r.s1, "k3": r.s2, "k4": r.s3}
+def _params(args: argparse.Namespace) -> code.CodeParams:
+    parts = [int(v) for v in args.params.split(",")]
+    if len(parts) != 4:
+        raise ValueError("--params needs four comma-separated residues")
+    return code.CodeParams.from_values(args.n, *parts)
 
 
-def _input_words(cfg: RunConfig) -> list[Word]:
-    if cfg.words:
-        return cfg.words
-    if cfg.input_path:
-        with open(cfg.input_path, encoding="ascii") as handle:
+def _words(args: argparse.Namespace) -> list[Word]:
+    if args.words:
+        return [parse_word(w) for w in args.words]
+    if args.input:
+        with open(args.input, encoding="ascii") as handle:
             return read_words(handle)
     return read_words(sys.stdin)
 
 
-def _cmd_syndrome(cfg: RunConfig) -> int:
-    for w in _input_words(cfg):
+def _cmd_syndrome(args: argparse.Namespace) -> int:
+    for w in _words(args):
         st = syndrome_tuple(w)
-        _emit(cfg, "syndrome", f"{w}: {st.to_kv()}", word=w, **_params_key_values(st))
+        _emit(args, "syndrome", f"{w}: {st.to_kv()}", word=w, n=st.n, **_residues(st, S_KEYS))
     return EXIT_OK
 
 
-def _params_key_values(st) -> dict:
-    return {"n": st.n, "s0": st.s0, "s1": st.s1, "s2": st.s2, "s3": st.s3}
-
-
-def _cmd_check(cfg: RunConfig) -> int:
-    p = cfg.params
-    label = ",".join(str(v) for v in _params_fields(p).values())
-    for w in _input_words(cfg):
+def _cmd_check(args: argparse.Namespace) -> int:
+    p = _params(args)
+    fields = {"n": p.n, **_residues(p.residues, K_KEYS)}
+    label = ",".join(str(v) for v in fields.values())
+    for w in _words(args):
         member = code.is_codeword(w, p)
-        _emit(
-            cfg,
-            "check",
-            f"{w}: {'member' if member else 'not a member'} of the code ({label})",
-            word=w,
-            member=_bool(member),
-            **_params_fields(p),
-        )
+        human = f"{w}: {'member' if member else 'not a member'} of the code ({label})"
+        _emit(args, "check", human, word=w, member="true" if member else "false", **fields)
     return EXIT_OK
 
 
-def _cmd_enumerate(cfg: RunConfig) -> int:
-    members = code.enumerate_codewords(cfg.params, cfg.enum_cap)
-    if cfg.machine:
-        for i, w in enumerate(members):
-            print(f"record=codeword index={i} word={w}")
-        print(f"record=enumerate size={len(members)} " + _kv(_params_fields(cfg.params)))
-    else:
-        for w in members:
-            print(w)
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    p = _params(args)
+    members = code.enumerate_codewords(p, args.enum_cap)
+    for i, w in enumerate(members):
+        _emit(args, "codeword", str(w), index=i, word=w)
+    _emit(args, "enumerate", None, size=len(members), n=p.n, **_residues(p.residues, K_KEYS))
     return EXIT_OK
 
 
-def _kv(fields: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in fields.items())
-
-
-def _cmd_census(cfg: RunConfig) -> int:
-    census = code.bucket_census(cfg.n, cfg.enum_cap, cfg.workers)
-    for rank, (st, count) in enumerate(census.top(cfg.top), 1):
-        _emit(
-            cfg,
-            "bucket",
-            f"#{rank}: count={count} {st.to_kv()}",
-            n=cfg.n,
-            rank=rank,
-            s0=st.s0,
-            s1=st.s1,
-            s2=st.s2,
-            s3=st.s3,
-            count=count,
-        )
+def _cmd_census(args: argparse.Namespace) -> int:
+    if args.top < 0:
+        raise ValueError(f"--top must be at least 0, got {args.top}")
+    census = code.bucket_census(args.n, args.enum_cap, args.workers)
+    for rank, (st, count) in enumerate(census.top(args.top), 1):
+        human = f"#{rank}: count={count} {st.to_kv()}"
+        _emit(args, "bucket", human, n=args.n, rank=rank, **_residues(st, S_KEYS), count=count)
     best, best_count = census.largest()
     r = code.redundancy(code.CodeParams(best), size=best_count)
+    bound = f"{code.redundancy_bound(args.n):.6f}"
     _emit(
-        cfg,
+        args,
         "census",
-        f"n={cfg.n}: {census.total()} words in {census.class_count()} classes; "
-        f"largest={best_count}, redundancy={r:.6f} (bound {code.redundancy_bound(cfg.n):.6f})",
-        n=cfg.n,
+        f"n={args.n}: {census.total()} words in {census.class_count()} classes; "
+        f"largest={best_count}, redundancy={r:.6f} (bound {bound})",
+        n=args.n,
         words=census.total(),
         buckets=census.class_count(),
         max_count=best_count,
         redundancy=f"{r:.6f}",
-        bound=f"{code.redundancy_bound(cfg.n):.6f}",
-        floor=code.pigeonhole_floor(cfg.n),
+        bound=bound,
+        floor=code.pigeonhole_floor(args.n),
     )
     return EXIT_OK
 
 
-def _cmd_best_params(cfg: RunConfig) -> int:
-    params, count = code.best_params(cfg.n, cfg.enum_cap, cfg.workers)
-    r = code.redundancy(params, size=count)
-    _emit(
-        cfg,
-        "params",
-        f"best class at n={cfg.n}: {params.residues.to_kv()} count={count} redundancy={r:.6f}",
-        **_params_fields(params),
-        count=count,
-        redundancy=f"{r:.6f}",
-    )
+def _cmd_best_params(args: argparse.Namespace) -> int:
+    p, count = code.best_params(args.n, args.enum_cap, args.workers)
+    r = f"{code.redundancy(p, size=count):.6f}"
+    human = f"best class at n={args.n}: {p.residues.to_kv()} count={count} redundancy={r}"
+    _emit(args, "params", human, n=p.n, **_residues(p.residues, K_KEYS), count=count, redundancy=r)
     return EXIT_OK
 
 
-def _cmd_encode(cfg: RunConfig) -> int:
-    w = code.encode_index(cfg.index, cfg.params, cfg.enum_cap)
-    _emit(cfg, "encode", str(w), index=cfg.index, word=w)
+def _cmd_encode(args: argparse.Namespace) -> int:
+    w = code.encode_index(args.index, _params(args), args.enum_cap)
+    _emit(args, "encode", str(w), index=args.index, word=w)
     return EXIT_OK
 
 
-def _cmd_rank(cfg: RunConfig) -> int:
-    ws = _input_words(cfg)
+def _cmd_rank(args: argparse.Namespace) -> int:
+    p = _params(args)
+    ws = _words(args)
     if len(ws) != 1:
         raise ValueError(f"rank expects exactly one word, got {len(ws)}")
-    m = code.decode_index(ws[0], cfg.params, cfg.enum_cap)
-    _emit(cfg, "rank", str(m), word=ws[0], index=m)
+    m = code.decode_index(ws[0], p, args.enum_cap)
+    _emit(args, "rank", str(m), word=ws[0], index=m)
     return EXIT_OK
 
 
-def _cmd_decode(cfg: RunConfig) -> int:
+def _cmd_decode(args: argparse.Namespace) -> int:
+    p = _params(args)
+    fields = {"n": p.n, **_residues(p.residues, K_KEYS)}
     status = EXIT_OK
-    for w in _input_words(cfg):
+    for w in _words(args):
         try:
-            decoded = decoder.decode(w, cfg.params)
+            decoded = decoder.decode(w, p)
         except decoder.NoCandidateError:
-            _emit(
-                cfg,
-                "decode-failure",
-                f"{w}: no codeword within {decoder.MAX_EDITS} edits",
-                received=w,
-                kind="no_candidate",
-                **_params_fields(cfg.params),
-            )
-            status = EXIT_VIOLATION
+            kind, why = "no_candidate", f"no codeword within {decoder.MAX_EDITS} edits"
         except decoder.AmbiguousDecodeError:
-            _emit(
-                cfg,
-                "decode-failure",
-                f"{w}: ambiguous decode (parameters unverified?)",
-                received=w,
-                kind="ambiguous",
-                **_params_fields(cfg.params),
-            )
-            status = EXIT_VIOLATION
+            kind, why = "ambiguous", "ambiguous decode (parameters unverified?)"
+        except decoder.ReceivedLengthError as exc:
+            kind, why = "length", str(exc)
         else:
-            _emit(cfg, "decode", str(decoded), received=w, word=decoded)
+            _emit(args, "decode", str(decoded), received=w, word=decoded)
+            continue
+        _emit(args, "decode-failure", f"{w}: {why}", received=w, kind=kind, **fields)
+        status = EXIT_VIOLATION
     return status
 
 
-def _cmd_corrupt(cfg: RunConfig) -> int:
-    rng = random.Random(cfg.seed)
-    for w in _input_words(cfg):
-        if cfg.random_edits:
+def _cmd_corrupt(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
+    for w in _words(args):
+        if args.random:
             pattern = channel.random_pattern(rng, len(w))
         else:
-            pattern = channel.parse_pattern(cfg.pattern or "")
+            pattern = channel.parse_pattern(args.pattern or "")
         result = channel.apply_errors(w, pattern)
-        _emit(
-            cfg,
-            "corrupt",
-            str(result),
-            word=w,
-            pattern=channel.format_pattern(pattern) or "-",
-            result=result,
-        )
+        spec = channel.format_pattern(pattern) or "-"
+        _emit(args, "corrupt", str(result), word=w, pattern=spec, result=result)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    report = code.scan_pairwise_distance(cfg.n, cfg.mode, cfg.workers, cfg.enum_cap)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = code.scan_pairwise_distance(args.n, args.mode, args.workers, args.enum_cap)
     for v in report.violations:
         _emit(
-            cfg,
+            args,
             "violation",
             f"words {v.x} and {v.y} share a class but are at distance {v.distance}",
             mode=report.mode,
@@ -246,121 +186,104 @@ def _cmd_verify(cfg: RunConfig) -> int:
             distance=v.distance,
             key=",".join(str(k) for k in v.key),
         )
+    min_distance = report.min_distance if report.min_distance is not None else "none"
     _emit(
-        cfg,
+        args,
         "verify",
         f"verify mode={report.mode} n={report.n}: {report.words} words, "
         f"{report.groups} groups, {report.pairs} pairs checked, "
-        f"min distance {report.min_distance if report.min_distance is not None else 'none'}: "
-        f"{'OK' if report.ok else 'VIOLATED'}",
+        f"min distance {min_distance}: {'OK' if report.ok else 'VIOLATED'}",
         mode=report.mode,
         n=report.n,
         words=report.words,
         groups=report.groups,
         pairs=report.pairs,
-        min_distance=report.min_distance if report.min_distance is not None else "none",
+        min_distance=min_distance,
         violations=len(report.violations),
         status="ok" if report.ok else "violated",
     )
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    if cfg.action == "sigma":
-        if cfg.vector is not None:
-            value = sign_preserving_number(cfg.vector)
-            _emit(cfg, "sigma", str(value), vector=",".join(map(str, cfg.vector)), value=value)
-        else:
-            x, y = cfg.pair
-            fx = adjacency_profile(pad(x))
-            fy = adjacency_profile(pad(y))
-            diff = tuple(a - b for a, b in zip(fx, fy))
-            value = sign_preserving_number(diff)
-            _emit(
-                cfg,
-                "sigma",
-                f"profile difference {','.join(map(str, diff))}: sigma={value}",
-                x=x,
-                y=y,
-                diff=",".join(map(str, diff)),
-                value=value,
-            )
+def _sigma(args: argparse.Namespace, pair: tuple[Word, Word] | None) -> int:
+    if args.vector is not None:
+        value = sign_preserving_number(args.vector)
+        _emit(args, "sigma", str(value), vector=",".join(map(str, args.vector)), value=value)
         return EXIT_OK
-    if cfg.action == "classify":
-        x, y = cfg.pair
-        sep = analysis.separate_errors(x, y, cfg.k, cfg.round_budget)
-        for e in analysis.classify_errors(sep.u, sep.v, sep.alignment):
-            _emit(
-                cfg,
-                "classified",
-                f"position {e.position}: {e.kind} value {e.value:+d}",
-                position=e.position,
-                kind=e.kind,
-                value=e.value,
-            )
-        kinds, values = analysis.pair_type(sep.u, sep.v, sep.alignment)
-        _emit(
-            cfg,
-            "pair-type",
-            f"pair type: ({', '.join(kinds)}) values ({', '.join(map(str, values))})",
-            x=x,
-            y=y,
-            u=sep.u,
-            v=sep.v,
-            s=sep.s,
-            r=sep.r,
-            rounds=len(sep.rounds),
-            kinds=",".join(kinds),
-            values=",".join(map(str, values)),
-        )
-        return EXIT_OK
-    if cfg.action == "segment":
-        x, y = cfg.pair
-        rel_s, rel_r = cfg.relation if cfg.relation else (None, None)
-        _, _, alignment = analysis.find_relation(x, y, rel_s, rel_r)
-        i, j = cfg.cut
-        out_x, out_y = analysis.segment_once(x, y, alignment, (i, j))
-        filler = str(out_x)[i : i + len(out_x) - len(x)]
-        _emit(
-            cfg,
-            "segment",
-            f"{out_x} / {out_y}",
-            x=x,
-            y=y,
-            i=i,
-            j=j,
-            filler=filler,
-            x_out=out_x,
-            y_out=out_y,
-        )
-        return EXIT_OK
-    raise ValueError(f"unknown analyze action {cfg.action!r}")
+    x, y = pair
+    if len(x) != len(y):
+        raise ValueError("analyze sigma needs --x and --y of equal length")
+    diff = tuple(a - b for a, b in zip(adjacency_profile(pad(x)), adjacency_profile(pad(y))))
+    value = sign_preserving_number(diff)
+    text = ",".join(map(str, diff))
+    human = f"profile difference {text}: sigma={value}"
+    _emit(args, "sigma", human, x=x, y=y, diff=text, value=value)
+    return EXIT_OK
 
 
-_COMMANDS = {
-    "syndrome": _cmd_syndrome,
-    "check": _cmd_check,
-    "enumerate": _cmd_enumerate,
-    "census": _cmd_census,
-    "best-params": _cmd_best_params,
-    "encode": _cmd_encode,
-    "rank": _cmd_rank,
-    "decode": _cmd_decode,
-    "corrupt": _cmd_corrupt,
-    "verify": _cmd_verify,
-    "analyze": _cmd_analyze,
-}
+def _classify(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
+    x, y = pair
+    sep = analysis.separate_errors(x, y, args.k, args.round_budget)
+    for e in analysis.classify_errors(sep.u, sep.v, sep.alignment):
+        human = f"position {e.position}: {e.kind} value {e.value:+d}"
+        _emit(args, "classified", human, position=e.position, kind=e.kind, value=e.value)
+    kinds, values = analysis.pair_type(sep.u, sep.v, sep.alignment)
+    _emit(
+        args,
+        "pair-type",
+        f"pair type: ({', '.join(kinds)}) values ({', '.join(map(str, values))})",
+        x=x,
+        y=y,
+        u=sep.u,
+        v=sep.v,
+        s=sep.s,
+        r=sep.r,
+        rounds=len(sep.rounds),
+        kinds=",".join(kinds),
+        values=",".join(map(str, values)),
+    )
+    return EXIT_OK
 
 
-def run(cfg: RunConfig) -> int:
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except (code.ResourceCapError, analysis.RoundBudgetError) as exc:
-        _emit(cfg, "error", f"resource cap exceeded: {exc}", kind="resource", message=str(exc))
-        return EXIT_RESOURCE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _segment(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
+    x, y = pair
+    _, _, alignment = analysis.find_relation(x, y, *args.rel)
+    i, j = args.cut
+    x2, y2 = analysis.segment_once(x, y, alignment, (i, j))
+    filler = str(x2)[i : i + len(x2) - len(x)]
+    _emit(
+        args, "segment", f"{x2} / {y2}", x=x, y=y, i=i, j=j, filler=filler, x_out=x2, y_out=y2
+    )
+    return EXIT_OK
+
+
+_ANALYZE = {"sigma": _sigma, "classify": _classify, "segment": _segment}
+
+
+def _int_pair(text: str | None) -> tuple[int, int] | None:
+    if not text:
+        return None
+    a, b = (int(v) for v in text.split(","))
+    return a, b
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    # every analyze flag is converted, so a malformed one fails whichever action runs
+    args.vector = tuple(int(v) for v in args.vector.split(",")) if args.vector else None
+    pair = None
+    if args.x is not None or args.y is not None:
+        if not (args.x and args.y):
+            raise ValueError("--x and --y must be given together")
+        pair = (parse_word(args.x), parse_word(args.y))
+    args.cut = _int_pair(args.cut)
+    args.rel = _int_pair(args.rel) or (None, None)
+    if args.action == "sigma" and args.vector is None and pair is None:
+        raise ValueError("analyze sigma needs --vector or --x/--y")
+    if args.action in ("classify", "segment") and pair is None:
+        raise ValueError(f"analyze {args.action} needs --x and --y")
+    if args.action == "segment" and args.cut is None:
+        raise ValueError("analyze segment needs --cut i,j")
+    return _ANALYZE[args.action](args, pair)
 
 
 def _add_common(sub: argparse.ArgumentParser, io_words: bool = False) -> None:
@@ -372,9 +295,13 @@ def _add_common(sub: argparse.ArgumentParser, io_words: bool = False) -> None:
         sub.add_argument("--input", help="file of words, one per line")
 
 
-def _add_params(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help=f"code length (>= {MIN_CODE_LENGTH})")
-    sub.add_argument("--params", required=True, help="residues k1,k2,k3,k4")
+def _add_command(subs, name: str, handler, summary: str, params: bool = False):
+    sub = subs.add_parser(name, help=summary)
+    sub.set_defaults(handler=handler)
+    if params:
+        sub.add_argument("--n", type=int, required=True, help=f"code length (>= {MIN_CODE_LENGTH})")
+        sub.add_argument("--params", required=True, help="residues k1,k2,k3,k4")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,48 +311,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("syndrome", help="residue tuple of each word")
+    p = _add_command(subs, "syndrome", _cmd_syndrome, "residue tuple of each word")
     _add_common(p, io_words=True)
 
-    p = subs.add_parser("check", help="membership of each word in a code")
-    _add_params(p)
+    p = _add_command(subs, "check", _cmd_check, "membership of each word in a code", params=True)
     _add_common(p, io_words=True)
 
-    p = subs.add_parser("enumerate", help="all codewords in lexicographic order")
-    _add_params(p)
+    p = _add_command(
+        subs, "enumerate", _cmd_enumerate, "all codewords in lexicographic order", params=True
+    )
     _add_common(p)
 
-    p = subs.add_parser("census", help="syndrome class sizes over the whole space")
+    p = _add_command(subs, "census", _cmd_census, "syndrome class sizes over the whole space")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--top", type=int, default=5, help="how many classes to list")
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
-    p = subs.add_parser("best-params", help="parameters of the largest class")
+    p = _add_command(subs, "best-params", _cmd_best_params, "parameters of the largest class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
-    p = subs.add_parser("encode", help="codeword with the given lexicographic index")
-    _add_params(p)
+    p = _add_command(
+        subs, "encode", _cmd_encode, "codeword with the given lexicographic index", params=True
+    )
     p.add_argument("--index", type=int, required=True)
     _add_common(p)
 
-    p = subs.add_parser("rank", help="lexicographic index of a codeword")
-    _add_params(p)
+    p = _add_command(subs, "rank", _cmd_rank, "lexicographic index of a codeword", params=True)
     _add_common(p, io_words=True)
 
-    p = subs.add_parser("decode", help="unique codeword within two edits")
-    _add_params(p)
+    p = _add_command(subs, "decode", _cmd_decode, "unique codeword within two edits", params=True)
     _add_common(p, io_words=True)
 
-    p = subs.add_parser("corrupt", help="apply an edit pattern to each word")
+    p = _add_command(subs, "corrupt", _cmd_corrupt, "apply an edit pattern to each word")
     p.add_argument("--pattern", help="pattern spec, e.g. sub@4=1,del@2,ins@0=1")
     p.add_argument("--random", action="store_true", help="seeded random pattern instead")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, io_words=True)
 
-    p = subs.add_parser("verify", help="pairwise distance sweep over all classes")
+    p = _add_command(subs, "verify", _cmd_verify, "pairwise distance sweep over all classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--mode",
@@ -436,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
-    p = subs.add_parser("analyze", help="sign-preserving numbers, classification, segmentation")
+    p = _add_command(
+        subs, "analyze", _cmd_analyze, "sign-preserving numbers, classification, segmentation"
+    )
     p.add_argument("action", choices=("sigma", "classify", "segment"))
     p.add_argument("--vector", help="comma-separated integers (sigma)")
     p.add_argument("--x", help="first word")
@@ -449,62 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.machine = getattr(args, "machine", False)
-    cfg.enum_cap = getattr(args, "enum_cap", None)
-    cfg.round_budget = getattr(args, "round_budget", None)
-    if cfg.round_budget is None and os.environ.get(ROUND_BUDGET_ENV):
-        cfg.round_budget = int(os.environ[ROUND_BUDGET_ENV])
-    cfg.n = getattr(args, "n", None)
-    cfg.workers = getattr(args, "workers", 1)
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.top = getattr(args, "top", 5)
-    cfg.index = getattr(args, "index", None)
-    cfg.pattern = getattr(args, "pattern", None)
-    cfg.random_edits = getattr(args, "random", False)
-    cfg.mode = getattr(args, "mode", code.MODE_BUCKET)
-    cfg.input_path = getattr(args, "input", None)
-    cfg.k = getattr(args, "k", 5)
-    cfg.action = getattr(args, "action", None)
-    if getattr(args, "words", None):
-        cfg.words = [parse_word(w) for w in args.words]
-    if getattr(args, "params", None) is not None:
-        parts = [int(v) for v in args.params.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--params needs four comma-separated residues")
-        cfg.params = code.CodeParams.from_values(cfg.n, *parts)
-    if getattr(args, "vector", None):
-        cfg.vector = tuple(int(v) for v in args.vector.split(","))
-    if getattr(args, "x", None) is not None or getattr(args, "y", None) is not None:
-        if not (getattr(args, "x", None) and getattr(args, "y", None)):
-            raise ValueError("--x and --y must be given together")
-        cfg.pair = (parse_word(args.x), parse_word(args.y))
-    if getattr(args, "cut", None):
-        i, j = (int(v) for v in args.cut.split(","))
-        cfg.cut = (i, j)
-    if getattr(args, "rel", None):
-        rs, rr = (int(v) for v in args.rel.split(","))
-        cfg.relation = (rs, rr)
-    if cfg.command == "analyze":
-        if cfg.action == "sigma" and cfg.vector is None and cfg.pair is None:
-            raise ValueError("analyze sigma needs --vector or --x/--y")
-        if cfg.action in ("classify", "segment") and cfg.pair is None:
-            raise ValueError(f"analyze {cfg.action} needs --x and --y")
-        if cfg.action == "segment" and cfg.cut is None:
-            raise ValueError("analyze segment needs --cut i,j")
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
+        # --round-budget is common to all subcommands, so its fallback is too
+        if args.round_budget is None and os.environ.get(ROUND_BUDGET_ENV):
+            args.round_budget = int(os.environ[ROUND_BUDGET_ENV])
+        return args.handler(args)
+    except (code.ResourceCapError, analysis.RoundBudgetError) as exc:
+        _emit(args, "error", f"resource cap exceeded: {exc}", kind="resource", message=exc)
+        return EXIT_RESOURCE
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -68,10 +68,15 @@ def is_codeword(x: Word, p: CodeParams) -> bool:
     return (s0 % m0, s1 % m1, s2 % m2, count % m3) == (r.s0, r.s1, r.s2, r.s3)
 
 
-@lru_cache(maxsize=8)
 def _codeword_values(p: CodeParams, cap: int | None) -> tuple[int, ...]:
+    # The cap is checked on every call, cache hit or not.
+    _check_cap(p.n, cap)
+    return _member_values(p)
+
+
+@lru_cache(maxsize=8)
+def _member_values(p: CodeParams) -> tuple[int, ...]:
     n = p.n
-    _check_cap(n, cap)
     m0, m1, m2, m3 = moduli(n)
     want = (p.residues.s0, p.residues.s1, p.residues.s2, p.residues.s3)
     out = []
@@ -125,16 +130,24 @@ def _shard_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def bucket_census(n: int, cap: int | None = None, workers: int = 1) -> Census:
     """Class sizes over all of {0,1}^n; identical for any worker count."""
+    _check_workers(workers)
     _check_cap(n, cap)
     total = 1 << n
-    if workers <= 1:
+    if workers == 1:
         merged = _census_shard((n, 0, total))
     else:
         merged = Counter()
-        with multiprocessing.Pool(workers) as pool:
-            for part in pool.map(_census_shard, [(n, lo, hi) for lo, hi in _shard_ranges(total, workers)]):
+        tasks = [(n, lo, hi) for lo, hi in _shard_ranges(total, workers)]
+        # ceil-sized shards: at most `workers` of them, one process each
+        with multiprocessing.Pool(len(tasks)) as pool:
+            for part in pool.map(_census_shard, tasks):
                 merged.update(part)
     return Census(n, dict(merged))
 
@@ -255,14 +268,15 @@ def scan_pairwise_distance(
     """Check the distance >= 5 requirement in every group; worker-count
     independent by construction (groups are split deterministically and the
     merge is associative)."""
+    _check_workers(workers)
     groups = syndrome_groups(n, mode, cap)
     items = sorted((key, values) for key, values in groups.items() if len(values) > 1)
-    if workers <= 1 or len(items) < 2:
+    if workers == 1 or len(items) < 2:
         shards = [_distance_shard((n, items))]
     else:
         chunk = (len(items) + workers - 1) // workers
         tasks = [(n, items[i : i + chunk]) for i in range(0, len(items), chunk)]
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(len(tasks)) as pool:  # at most `workers` tasks
             shards = pool.map(_distance_shard, tasks)
     pairs = sum(s[0] for s in shards)
     mins = [s[1] for s in shards if s[1] is not None]

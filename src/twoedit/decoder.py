@@ -26,6 +26,10 @@ class AmbiguousDecodeError(DecodeError):
     """More than one codeword fits; signals invalid or unverified parameters."""
 
 
+class ReceivedLengthError(DecodeError):
+    """Received length differs from the code length by more than two."""
+
+
 def candidate_preimages(received: Word, n: int) -> set[Word]:
     """All length-n words that can reach ``received`` with at most two edits.
 
@@ -35,7 +39,7 @@ def candidate_preimages(received: Word, n: int) -> set[Word]:
     """
     delta = len(received) - n
     if abs(delta) > MAX_EDITS:
-        raise ValueError(
+        raise ReceivedLengthError(
             f"received length {len(received)} outside [{n - MAX_EDITS}, {n + MAX_EDITS}]"
         )
     out: set[Word] = set()

@@ -1,6 +1,24 @@
+import json
+import re
+from pathlib import Path
+
 import pytest
 
-from twoedit.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATION, main
+from twoedit.cli import (
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    ROUND_BUDGET_ENV,
+    main,
+)
+from twoedit.code import ENUM_CAP_ENV
+
+ROOT = Path(__file__).resolve().parents[1]
+# (argv, env) -> (exit, stdout, stderr) for every subcommand in both modes,
+# the usage and resource errors, and the help texts; an entry changes only
+# together with a deliberate change of the CLI's behaviour.
+GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +207,7 @@ def test_verify_violation_exit_and_witness(capsys, monkeypatch):
     assert status == EXIT_VIOLATION
     assert "record=violation" in out and "x=00000000" in out and "distance=3" in out
     assert "status=violated" in out
+    assert record_types(out) == {"violation", "verify"}
 
 
 def test_verify_respects_enum_cap(capsys):
@@ -218,3 +237,85 @@ def test_stdin_words(capsys, monkeypatch):
     status, out, _ = run_cli(capsys, "syndrome", "--machine")
     assert status == EXIT_OK
     assert "word=0000001" in out
+
+
+def _golden_id(case):
+    return " ".join([f"{k}={v}" for k, v in case["env"].items()] + case["argv"])
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
+def test_golden_outputs(case, capsys, monkeypatch):
+    for name in (ENUM_CAP_ENV, ROUND_BUDGET_ENV):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
+    for name, value in case["env"].items():
+        monkeypatch.setenv(name, value)
+    try:
+        status = main(list(case["argv"]))
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def readme_schema() -> dict[str, list[tuple[str, ...]]]:
+    """Record type -> the field lists the README's machine-mode table allows:
+    the leading code spans of a row, alternatives joined by "or"."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### Machine mode schema", 1)[1].split("\n### ", 1)[0]
+    schema = {}
+    for name, cell in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M):
+        lead = re.match(r"`[^`]+`(?: or `[^`]+`)*", cell).group(0)
+        schema[name] = [tuple(fields.split()) for fields in re.findall(r"`([^`]+)`", lead)]
+    return schema
+
+
+def record_types(text: str) -> set[str]:
+    """Check every line of machine-mode ``text`` against the README schema
+    and return the record types seen."""
+    schema = readme_schema()
+    seen = set()
+    for line in text.splitlines():
+        tokens = [token.partition("=") for token in line.split(" ")]
+        assert all(sep == "=" and re.fullmatch(r"[a-z0-9_]+", k) for k, sep, _ in tokens), line
+        (key, _, record), *fields = tokens
+        assert key == "record" and record in schema, line
+        assert tuple(k for k, _, _ in fields) in schema[record], line
+        seen.add(record)
+    return seen
+
+
+def test_machine_records_follow_the_readme_schema():
+    seen = set()
+    for case in GOLDEN:
+        if "--machine" in case["argv"]:
+            seen |= record_types(case["stdout"])
+    # no class at n <= 11 has a violation; the witness test checks that record
+    assert seen == set(readme_schema()) - {"violation"}
+
+
+def test_census_rejects_negative_top(capsys):
+    status, out, err = run_cli(capsys, "census", "--n", "7", "--top", "-1", "--machine")
+    assert status == EXIT_USAGE and out == "" and "--top" in err
+
+
+def test_sigma_rejects_words_of_unequal_length(capsys):
+    status, out, err = run_cli(capsys, "analyze", "sigma", "--x", "0", "--y", "0110")
+    assert status == EXIT_USAGE and out == "" and "equal length" in err
+
+
+@pytest.mark.parametrize("command", ("census", "best-params", "verify"))
+def test_workers_below_one_are_rejected(capsys, command):
+    status, out, err = run_cli(capsys, command, "--n", "7", "--workers", "0", "--machine")
+    assert status == EXIT_USAGE and out == "" and "workers" in err
+
+
+def test_decode_batch_continues_past_a_bad_length(capsys):
+    args = ("decode", "--n", "11", "--params", "8,10,2434,8", "--machine")
+    status, out, _ = run_cli(capsys, *args, "0111011010", "0101", "0111011010")
+    assert status == EXIT_VIOLATION
+    assert out.splitlines() == [
+        "record=decode received=0111011010 word=01011011010",
+        "record=decode-failure received=0101 kind=length n=11 k1=8 k2=10 k3=2434 k4=8",
+        "record=decode received=0111011010 word=01011011010",
+    ]

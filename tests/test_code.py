@@ -4,6 +4,7 @@ import os
 import pytest
 
 import oracles
+from twoedit import code
 from twoedit.code import (
     Census,
     CodeParams,
@@ -136,6 +137,36 @@ def test_enumeration_cap():
             bucket_census(7)
     finally:
         del os.environ["TWOEDIT_ENUM_CAP"]
+
+
+def test_enumeration_cap_holds_on_a_cache_hit(monkeypatch):
+    params = CodeParams.from_values(12, 0, 0, 0, 0)
+    enumerate_codewords(params)  # warm the cache
+    monkeypatch.setenv("TWOEDIT_ENUM_CAP", "8")
+    with pytest.raises(ResourceCapError):
+        enumerate_codewords(params)
+
+
+def test_sweep_pool_has_one_process_per_shard(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(code.multiprocessing, "Pool", SerialPool)
+    # n=11 has 8 groups with two or more words: 5 workers get 4 shards of 2
+    assert scan_pairwise_distance(11, workers=5) == scan_pairwise_distance(11)
+    assert sizes == [4]
 
 
 @pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
