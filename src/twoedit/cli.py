@@ -223,7 +223,11 @@ def _sigma(args: argparse.Namespace, pair: tuple[Word, Word] | None) -> int:
 
 def _classify(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
     x, y = pair
-    sep = analysis.separate_errors(x, y, args.k, args.round_budget)
+    # the only reader of the budget, so the only reader of its fallback
+    budget = args.round_budget
+    if budget is None and os.environ.get(ROUND_BUDGET_ENV):
+        budget = int(os.environ[ROUND_BUDGET_ENV])
+    sep = analysis.separate_errors(x, y, args.k, budget)
     for e in analysis.classify_errors(sep.u, sep.v, sep.alignment):
         human = f"position {e.position}: {e.kind} value {e.value:+d}"
         _emit(args, "classified", human, position=e.position, kind=e.kind, value=e.value)
@@ -380,9 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # --round-budget is common to all subcommands, so its fallback is too
-        if args.round_budget is None and os.environ.get(ROUND_BUDGET_ENV):
-            args.round_budget = int(os.environ[ROUND_BUDGET_ENV])
         return args.handler(args)
     except (code.ResourceCapError, analysis.RoundBudgetError) as exc:
         _emit(args, "error", f"resource cap exceeded: {exc}", kind="resource", message=exc)

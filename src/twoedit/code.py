@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .channel import edit_distance
-from .syndrome import MIN_CODE_LENGTH, SyndromeTuple, moduli, padded_weight_sums
+from .syndrome import COUNT_MODULUS, MIN_CODE_LENGTH, SyndromeTuple, moduli, padded_weight_sums
 from .words import Word
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -59,13 +59,25 @@ class CodeParams:
         return cls(SyndromeTuple(n, k1 % m0, k2 % m1, k3 % m2, k4 % m3))
 
 
+def member_value(v: int, p: CodeParams) -> bool:
+    """Whether the length-n word with packed value ``v`` lies in the code.
+
+    The padded adjacency count is a popcount: ``v ^ (v << 1)`` has one bit
+    per unequal neighbour pair of ``0 v 0``.  Words failing its residue skip
+    the weighted sums.
+    """
+    r = p.residues
+    if (v ^ (v << 1)).bit_count() % COUNT_MODULUS != r.s3:
+        return False
+    s0, s1, s2, _ = padded_weight_sums(v, r.n)
+    m0, m1, m2, _ = moduli(r.n)
+    return s0 % m0 == r.s0 and s1 % m1 == r.s1 and s2 % m2 == r.s2
+
+
 def is_codeword(x: Word, p: CodeParams) -> bool:
     if len(x) != p.n:
         raise ValueError(f"word length {len(x)} does not match code length {p.n}")
-    s0, s1, s2, count = padded_weight_sums(x.value, p.n)
-    m0, m1, m2, m3 = moduli(p.n)
-    r = p.residues
-    return (s0 % m0, s1 % m1, s2 % m2, count % m3) == (r.s0, r.s1, r.s2, r.s3)
+    return member_value(x.value, p)
 
 
 def _codeword_values(p: CodeParams, cap: int | None) -> tuple[int, ...]:
@@ -76,15 +88,7 @@ def _codeword_values(p: CodeParams, cap: int | None) -> tuple[int, ...]:
 
 @lru_cache(maxsize=8)
 def _member_values(p: CodeParams) -> tuple[int, ...]:
-    n = p.n
-    m0, m1, m2, m3 = moduli(n)
-    want = (p.residues.s0, p.residues.s1, p.residues.s2, p.residues.s3)
-    out = []
-    for v in range(1 << n):
-        s0, s1, s2, count = padded_weight_sums(v, n)
-        if (s0 % m0, s1 % m1, s2 % m2, count % m3) == want:
-            out.append(v)
-    return tuple(out)
+    return tuple(v for v in range(1 << p.n) if member_value(v, p))
 
 
 def enumerate_codewords(p: CodeParams, cap: int | None = None) -> list[Word]:

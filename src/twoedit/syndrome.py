@@ -14,11 +14,12 @@ from typing import Sequence
 from .words import Word, adjacency_count, adjacency_profile, pad
 
 MIN_CODE_LENGTH = 7
+COUNT_MODULUS = 9  # the fourth modulus, the same at every length
 
 
 def moduli(n: int) -> tuple[int, int, int, int]:
     """The four residue moduli used at length n."""
-    return (4 * n, 2 * n * n, 2 * n * n * n, 9)
+    return (4 * n, 2 * n * n, 2 * n * n * n, COUNT_MODULUS)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import random
 
-from twoedit.channel import apply_errors, random_pattern
+from twoedit.channel import apply_errors, error_ball, random_pattern
+from twoedit.decoder import MAX_EDITS, ReceivedLengthError
 from twoedit.words import Word
 
 
@@ -94,3 +95,27 @@ def random_confusable_pair(rng: random.Random, n: int) -> tuple[Word, Word]:
         y = Word(bits)
         if y != x:
             return x, y
+
+
+def candidate_preimages_ball(received: Word, n: int) -> set[Word]:
+    """All length-n words that can reach ``received`` with at most two edits.
+
+    Inverse edits are applied to the received word: a deletion is undone by
+    an insertion, an insertion by a deletion, a substitution by a
+    substitution.
+    """
+    delta = len(received) - n
+    if abs(delta) > MAX_EDITS:
+        raise ReceivedLengthError(
+            f"received length {len(received)} outside [{n - MAX_EDITS}, {n + MAX_EDITS}]"
+        )
+    out: set[Word] = set()
+    for t in range(MAX_EDITS + 1):
+        s = t - delta
+        if s < 0:
+            continue
+        for r in range(MAX_EDITS + 1 - t - s):
+            # received in ball(x; t ins, s del, r sub)  <=>
+            # x in ball(received; s ins, t del, r sub)
+            out |= error_ball(received, s, t, r)
+    return out

@@ -319,3 +319,20 @@ def test_decode_batch_continues_past_a_bad_length(capsys):
         "record=decode-failure received=0101 kind=length n=11 k1=8 k2=10 k3=2434 k4=8",
         "record=decode received=0111011010 word=01011011010",
     ]
+
+
+def test_round_budget_env_is_read_only_by_classify(capsys, monkeypatch):
+    monkeypatch.setenv(ROUND_BUDGET_ENV, "x")
+    status, out, _ = run_cli(capsys, "syndrome", "0000001", "--machine")
+    assert status == EXIT_OK
+    assert out == "record=syndrome word=0000001 n=7 s0=3 s1=26 s2=226 s3=2\n"
+    status, _, err = run_cli(capsys, "analyze", "classify", "--x", "001", "--y", "111")
+    assert status == EXIT_USAGE and "'x'" in err
+    monkeypatch.setenv(ROUND_BUDGET_ENV, "0")
+    status, out, _ = run_cli(capsys, "analyze", "classify", "--x", "0001011", "--y", "0110001")
+    assert status == EXIT_RESOURCE and "budget of 0 rounds" in out
+    # the flag still wins over the environment
+    status, _, _ = run_cli(
+        capsys, "analyze", "classify", "--x", "0001011", "--y", "0110001", "--round-budget", "9"
+    )
+    assert status == EXIT_OK

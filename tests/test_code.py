@@ -20,6 +20,7 @@ from twoedit.code import (
     enumerate_codewords,
     enumeration_cap,
     is_codeword,
+    member_value,
     pigeonhole_floor,
     redundancy,
     redundancy_bound,
@@ -38,6 +39,31 @@ def test_membership_examples():
     assert not is_codeword(Word("0000001"), ZERO7)
     with pytest.raises(ValueError):
         is_codeword(Word("000000"), ZERO7)
+
+
+def test_is_codeword_rejects_a_length_mismatch():
+    for word in (Word("000000"), Word("00000000")):
+        with pytest.raises(ValueError, match="does not match code length 7"):
+            is_codeword(word, ZERO7)
+
+
+def _other_residues(t: SyndromeTuple, which: int) -> SyndromeTuple:
+    """``t`` with residue ``which`` moved by one within its modulus."""
+    values = [t.s0, t.s1, t.s2, t.s3]
+    values[which] = (values[which] + 1) % t.moduli[which]
+    return SyndromeTuple(t.n, *values)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_member_value_agrees_with_syndrome_tuple_exhaustively(n):
+    largest = best_params(n)[0]
+    for v in range(1 << n):
+        own = syndrome_tuple(Word.from_int(v, n))
+        assert member_value(v, CodeParams(own))
+        # a differing s3 fails on the adjacency count, a differing s0..s2 on the sums
+        assert not member_value(v, CodeParams(_other_residues(own, 3)))
+        assert not member_value(v, CodeParams(_other_residues(own, v % 3)))
+        assert member_value(v, largest) == (own == largest.residues)
 
 
 def test_params_canonicalize():

@@ -1,15 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import candidate_preimages_ball
 from twoedit.channel import all_patterns, apply_errors, edit_distance, error_ball, random_pattern
 from twoedit.code import CodeParams, best_params, enumerate_codewords
 from twoedit.decoder import (
     AmbiguousDecodeError,
     NoCandidateError,
+    ReceivedLengthError,
     candidate_preimages,
     decode,
 )
+from twoedit.syndrome import syndrome_tuple
 from twoedit.words import Word
 
 
@@ -25,14 +30,14 @@ def union_ball(x):
 
 def test_zero_edit_preimage():
     w = Word("010011")
-    assert w in candidate_preimages(w, 6)
+    assert w.value in candidate_preimages(w, 6)
 
 
 def test_single_deletion_preimages_example():
     got = candidate_preimages(Word("01"), 3)
     by_deletion = {x for x in (Word.from_int(v, 3) for v in range(8)) if Word("01") in error_ball(x, 0, 1, 0)}
     assert by_deletion == {Word("001"), Word("010"), Word("011"), Word("101")}
-    assert by_deletion <= got
+    assert {x.value for x in by_deletion} <= got
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -42,7 +47,7 @@ def test_preimages_match_forward_enumeration_exhaustively(n):
     for m in range(n - 2, n + 3):
         for v in range(1 << m):
             received = Word.from_int(v, m)
-            expected = {x for x in words if received in balls[x]}
+            expected = {x.value for x in words if received in balls[x]}
             assert candidate_preimages(received, n) == expected
 
 
@@ -52,13 +57,49 @@ def test_forward_backward_consistency_randomized():
         x = Word.from_int(rng.getrandbits(9), 9)
         pattern = random_pattern(rng, 9)
         received = apply_errors(x, pattern)
-        assert x in candidate_preimages(received, 9)
+        assert x.value in candidate_preimages(received, 9)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_preimages_match_ball_oracle_exhaustively(n):
+    for m in range(n - 2, n + 3):
+        for v in range(1 << m):
+            received = Word.from_int(v, m)
+            oracle = candidate_preimages_ball(received, n)
+            assert candidate_preimages(received, n) == {w.value for w in oracle}
+
+
+@pytest.mark.parametrize("n, count", ((16, 40), (32, 40), (64, 3)))
+def test_preimages_match_ball_oracle_randomized(n, count):
+    rng = random.Random(n)
+    for _ in range(count):
+        m = rng.randint(n - 2, n + 2)
+        received = Word.from_int(rng.getrandbits(m), m)
+        oracle = candidate_preimages_ball(received, n)
+        assert candidate_preimages(received, n) == {w.value for w in oracle}
+
+
+@given(st.sampled_from((16, 32, 64)), st.randoms(use_true_random=False))
+def test_sent_word_is_a_preimage_past_the_cap(n, rng):
+    x = Word.from_int(rng.getrandbits(n), n)
+    received = apply_errors(x, random_pattern(rng, n))
+    assert x.value in candidate_preimages(received, n)
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_decode_round_trip_past_the_cap(n):
+    # every residue class is a code, so the sent word's own class decodes it
+    rng = random.Random(1000 + n)
+    for _ in range(20):
+        x = Word.from_int(rng.getrandbits(n), n)
+        received = apply_errors(x, random_pattern(rng, n))
+        assert decode(received, CodeParams(syndrome_tuple(x))) == x
 
 
 def test_preimage_length_window():
-    with pytest.raises(ValueError):
+    with pytest.raises(ReceivedLengthError):
         candidate_preimages(Word("0101"), 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ReceivedLengthError):
         candidate_preimages(Word("0101010101010"), 9)
 
 
