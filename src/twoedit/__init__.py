@@ -22,7 +22,6 @@ from .analysis import (
 from .channel import (
     ErrorPattern,
     apply_errors,
-    confusable_within,
     edit_distance,
     error_ball,
     parse_pattern,
@@ -39,13 +38,7 @@ from .code import (
     scan_pairwise_distance,
 )
 from .decoder import AmbiguousDecodeError, NoCandidateError, candidate_preimages, decode
-from .syndrome import (
-    SyndromeTuple,
-    sign_preserving_number,
-    syndrome_tuple,
-    vt_weight_vector,
-    zero_syndrome_forces_zero,
-)
+from .syndrome import SyndromeTuple, sign_preserving_number, syndrome_tuple
 from .words import Word, adjacency_count, adjacency_profile, invert, pad
 
 __version__ = "0.1.0"
@@ -67,7 +60,6 @@ __all__ = [
     "bucket_census",
     "candidate_preimages",
     "classify_errors",
-    "confusable_within",
     "decode",
     "decode_index",
     "edit_distance",
@@ -86,6 +78,4 @@ __all__ = [
     "separate_errors",
     "sign_preserving_number",
     "syndrome_tuple",
-    "vt_weight_vector",
-    "zero_syndrome_forces_zero",
 ]

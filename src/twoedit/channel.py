@@ -179,14 +179,6 @@ def edit_distance(x: Word, y: Word) -> int:
     return prev[len(b)]
 
 
-def confusable_within(x: Word, y: Word, budget: int) -> bool:
-    """True iff some word is reachable from both ``x`` and ``y`` with at most
-    ``budget`` total edits each, i.e. edit distance <= 2 * budget."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    return edit_distance(x, y) <= 2 * budget
-
-
 def random_pattern(rng: random.Random, n: int, max_edits: int = 2,
                    counts: tuple[int, int, int] | None = None) -> ErrorPattern:
     """Draw a pattern with t+s+r <= max_edits (or the exact given counts)."""

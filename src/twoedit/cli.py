@@ -91,7 +91,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise ValueError(f"--top must be at least 0, got {args.top}")
-    census = code.bucket_census(args.n, args.enum_cap, args.workers)
+    code.check_workers(args.workers)
+    census = code.bucket_census(args.n, args.enum_cap)
     for rank, (st, count) in enumerate(census.top(args.top), 1):
         human = f"#{rank}: count={count} {st.to_kv()}"
         _emit(args, "bucket", human, n=args.n, rank=rank, **_residues(st, S_KEYS), count=count)
@@ -115,7 +116,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_params(args: argparse.Namespace) -> int:
-    p, count = code.best_params(args.n, args.enum_cap, args.workers)
+    code.check_workers(args.workers)
+    p, count = code.best_params(args.n, args.enum_cap)
     r = f"{code.redundancy(p, size=count):.6f}"
     human = f"best class at n={args.n}: {p.residues.to_kv()} count={count} redundancy={r}"
     _emit(args, "params", human, n=p.n, **_residues(p.residues, K_KEYS), count=count, redundancy=r)
@@ -329,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(subs, "census", _cmd_census, "syndrome class sizes over the whole space")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--top", type=int, default=5, help="how many classes to list")
+    # census and best-params run in one process; --workers is still accepted
+    # and checked there, so existing command lines keep working
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 

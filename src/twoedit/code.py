@@ -2,8 +2,26 @@
 
 For length n >= 7 a parameter choice is one residue tuple; the code is the
 set of words whose syndrome tuple equals it.  The syndrome classes partition
-{0,1}^n, so census and pairwise verification sweeps are sharded over disjoint
-word ranges and merged associatively.
+{0,1}^n, so pairwise verification sweeps are sharded over disjoint groups and
+merged associatively.
+
+Census, grouping and enumeration share one split-word sweep.  A word is a
+head ``hi`` of h = n // 2 bits followed by a tail ``lo`` of t = n - h bits.
+From weight h + 2 on, the padded profile is the head's adjacency count
+``c_hi`` plus the profile of ``lo`` entered after the last bit of ``hi``
+(with the right pad appended), so each weighted sum splits as
+
+    S_k(hi) + c_hi * W_k + L_k(lastbit(hi), lo),   W_k = sum of j^k, j = h+2..n+2
+
+and the padded adjacency count as ``c_hi + L_c(lastbit(hi), lo)``.  The tail
+table L is built once per sweep, one row of 2^t entries for each head count
+c = 0..h (c fixes the head's last bit: it is odd iff that bit is 1).  Each
+word then costs additions and one mixed-radix pack of its four reduced sums.
+With the moduli of ``moduli(n)`` as radices the pack is
+``SyndromeTuple.pack``.  The exact sweep packs with radices (n+2)^2,
+(n+2)^3, (n+2)^4 and n+2: the count is at most n+1 and sum k is below
+(n+1) * (n+2)^(k+1), so every reduction is the identity and the key holds
+the unreduced sums.
 """
 
 from __future__ import annotations
@@ -12,9 +30,10 @@ import math
 import multiprocessing
 import os
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .channel import edit_distance
 from .syndrome import COUNT_MODULUS, MIN_CODE_LENGTH, SyndromeTuple, moduli, padded_weight_sums
@@ -88,12 +107,69 @@ def _codeword_values(p: CodeParams, cap: int | None) -> tuple[int, ...]:
 
 @lru_cache(maxsize=8)
 def _member_values(p: CodeParams) -> tuple[int, ...]:
-    return tuple(v for v in range(1 << p.n) if member_value(v, p))
+    target = p.residues.pack()
+    return tuple(
+        v
+        for base, keys in _split_keys(p.n, moduli(p.n))
+        if target in keys
+        for v, key in enumerate(keys, base)
+        if key == target
+    )
 
 
 def enumerate_codewords(p: CodeParams, cap: int | None = None) -> list[Word]:
     """All codewords in lexicographic order."""
     return [Word.from_int(v, p.n) for v in _codeword_values(p, cap)]
+
+
+def _profile_sums(value: int, length: int, prev: int, j: int) -> tuple[int, int, int, int]:
+    """Sums of the adjacency profile of the ``length`` bits of ``value`` (first
+    bit most significant) entered after symbol ``prev``, at weights j, j+1, ...
+    with powers 0, 1, 2; the fourth entry is the adjacency count."""
+    count = s0 = s1 = s2 = 0
+    for shift in range(length - 1, -1, -1):
+        bit = (value >> shift) & 1
+        count += bit != prev
+        prev = bit
+        s0 += count
+        s1 += count * j
+        s2 += count * j * j
+        j += 1
+    return s0, s1, s2, count
+
+
+def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[int, list[int]]]:
+    """For each head, ascending, yield ``(base, keys)``: the packed value of
+    the head's first word and the packed keys of its 2^t words in ascending
+    order (see the module docstring).
+    Key = ((s0 % r0 * r1 + s1 % r1) * r2 + s2 % r2) * r3 + c % r3.
+    """
+    h = n // 2
+    t = n - h
+    r0, r1, r2, r3 = radices
+    # Each sum is scaled to its place in the pack in advance, since
+    # (s % r) * p == (s * p) % (r * p).
+    p2 = r3
+    p1 = r2 * p2
+    p0 = r1 * p1
+    q0, q1, q2 = r0 * p0, r1 * p1, r2 * p2
+    w0, w1, w2 = (sum(j**k for j in range(h + 2, n + 3)) for k in range(3))
+    # each tail with the right pad appended, entered after each last head bit
+    tails = [
+        [_profile_sums(lo << 1, t + 1, last, h + 2) for lo in range(1 << t)] for last in (0, 1)
+    ]
+    # One row per head count c, which fixes the head's last bit; the reduced
+    # count (c + lc) % r3 is below p2, so it rides in the third term.
+    rows = [
+        [(l0 * p0, l1 * p1, l2 * p2 + (c + lc) % r3) for l0, l1, l2, lc in tails[c & 1]]
+        for c in range(h + 1)
+    ]
+    for hi in range(1 << h):
+        a0, a1, a2, c = _profile_sums(hi, h, 0, 2)
+        a0 = (a0 + c * w0) * p0
+        a1 = (a1 + c * w1) * p1
+        a2 = (a2 + c * w2) * p2
+        yield hi << t, [(a0 + l0) % q0 + (a1 + l1) % q1 + (a2 + l2) % q2 for l0, l1, l2 in rows[c]]
 
 
 @dataclass(frozen=True)
@@ -111,54 +187,33 @@ class Census:
 
     def top(self, k: int) -> list[tuple[SyndromeTuple, int]]:
         """Largest k classes, ties broken by ascending packed key."""
-        ranked = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(SyndromeTuple.unpack(key, self.n), count) for key, count in ranked[:k]]
+        if k < 0:
+            raise ValueError(f"k must be at least 0, got {k}")
+        from heapq import nsmallest  # here, so that importing the CLI does not load it
+
+        ranked = nsmallest(k, ((-count, key) for key, count in self.counts.items()))
+        return [(SyndromeTuple.unpack(key, self.n), -neg) for neg, key in ranked]
 
     def largest(self) -> tuple[SyndromeTuple, int]:
-        return self.top(1)[0]
+        """The largest class, ties broken by ascending packed key."""
+        count = max(self.counts.values())
+        key = min(key for key, size in self.counts.items() if size == count)
+        return SyndromeTuple.unpack(key, self.n), count
 
 
-def _census_shard(args: tuple[int, int, int]) -> Counter:
-    n, lo, hi = args
-    m0, m1, m2, m3 = moduli(n)
-    counts: Counter = Counter()
-    for v in range(lo, hi):
-        s0, s1, s2, count = padded_weight_sums(v, n)
-        key = (((s0 % m0) * m1 + s1 % m1) * m2 + s2 % m2) * m3 + count % m3
-        counts[key] += 1
-    return counts
-
-
-def _shard_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    step = (total + workers - 1) // workers
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-
-
-def bucket_census(n: int, cap: int | None = None, workers: int = 1) -> Census:
-    """Class sizes over all of {0,1}^n; identical for any worker count."""
-    _check_workers(workers)
+def bucket_census(n: int, cap: int | None = None) -> Census:
+    """Class sizes over all of {0,1}^n, in one process: shipping the
+    per-shard counts back from a pool costs more than the sweep saves."""
     _check_cap(n, cap)
-    total = 1 << n
-    if workers == 1:
-        merged = _census_shard((n, 0, total))
-    else:
-        merged = Counter()
-        tasks = [(n, lo, hi) for lo, hi in _shard_ranges(total, workers)]
-        # ceil-sized shards: at most `workers` of them, one process each
-        with multiprocessing.Pool(len(tasks)) as pool:
-            for part in pool.map(_census_shard, tasks):
-                merged.update(part)
-    return Census(n, dict(merged))
+    counts: Counter = Counter()
+    for _, keys in _split_keys(n, moduli(n)):
+        counts.update(keys)
+    return Census(n, dict(counts))
 
 
-def best_params(n: int, cap: int | None = None, workers: int = 1) -> tuple[CodeParams, int]:
+def best_params(n: int, cap: int | None = None) -> tuple[CodeParams, int]:
     """Parameters of the largest syndrome class and its size."""
-    residues, count = bucket_census(n, cap, workers).largest()
+    residues, count = bucket_census(n, cap).largest()
     return CodeParams(residues), count
 
 
@@ -236,16 +291,21 @@ def syndrome_groups(
     _check_cap(n, cap)
     if mode not in (MODE_BUCKET, MODE_EXACT):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    m0, m1, m2, m3 = moduli(n)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(1 << n):
-        s0, s1, s2, count = padded_weight_sums(v, n)
-        if mode == MODE_BUCKET:
-            key = (s0 % m0, s1 % m1, s2 % m2, count % m3)
-        else:
-            key = (s0, s1, s2, count)
-        groups.setdefault(key, []).append(v)
-    return groups
+    if mode == MODE_BUCKET:
+        radices = moduli(n)
+    else:  # above every unreduced sum (see the module docstring)
+        radices = ((n + 2) ** 2, (n + 2) ** 3, (n + 2) ** 4, n + 2)
+    groups: defaultdict[int, list[int]] = defaultdict(list)
+    for base, keys in _split_keys(n, radices):
+        for v, key in enumerate(keys, base):
+            groups[key].append(v)
+    _, r1, r2, r3 = radices
+    below_s1 = r2 * r3
+    below_s0 = r1 * below_s1
+    return {
+        (key // below_s0, key // below_s1 % r1, key // r3 % r2, key % r3): values
+        for key, values in groups.items()
+    }
 
 
 def _distance_shard(args: tuple[int, list[tuple[tuple[int, ...], list[int]]]]):
@@ -266,13 +326,18 @@ def _distance_shard(args: tuple[int, list[tuple[tuple[int, ...], list[int]]]]):
     return pairs, min_distance, violations
 
 
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def scan_pairwise_distance(
     n: int, mode: str = MODE_BUCKET, workers: int = 1, cap: int | None = None
 ) -> SweepReport:
     """Check the distance >= 5 requirement in every group; worker-count
     independent by construction (groups are split deterministically and the
     merge is associative)."""
-    _check_workers(workers)
+    check_workers(workers)
     groups = syndrome_groups(n, mode, cap)
     items = sorted((key, values) for key, values in groups.items() if len(values) > 1)
     if workers == 1 or len(items) < 2:

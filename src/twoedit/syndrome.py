@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import Word, adjacency_count, adjacency_profile, pad
+from .words import Word
 
 MIN_CODE_LENGTH = 7
 COUNT_MODULUS = 9  # the fourth modulus, the same at every length
@@ -73,15 +73,6 @@ class SyndromeTuple:
             raise ValueError(f"missing field {exc} in syndrome record {text!r}") from None
 
 
-def vt_weight_vector(order: int, n: int) -> tuple[int, ...]:
-    """The weight vector (1^order, 2^order, ..., n^order)."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"weight order must be 0, 1 or 2, got {order}")
-    if n < 1:
-        raise ValueError("weight vector length must be positive")
-    return tuple(j**order for j in range(1, n + 1))
-
-
 def padded_weight_sums(value: int, n: int) -> tuple[int, int, int, int]:
     """Exact dot products of the padded profile with the three weight vectors.
 
@@ -120,21 +111,6 @@ def syndrome_tuple(x: Word) -> SyndromeTuple:
     return SyndromeTuple(n, s0 % m0, s1 % m1, s2 % m2, count % m3)
 
 
-def syndrome_tuple_naive(x: Word) -> SyndromeTuple:
-    """Reference path: materialized profile dotted with materialized weights."""
-    n = len(x)
-    if n < MIN_CODE_LENGTH:
-        raise ValueError(f"syndromes are defined for length >= {MIN_CODE_LENGTH}, got {n}")
-    padded = pad(x)
-    profile = adjacency_profile(padded)
-    m0, m1, m2, m3 = moduli(n)
-    sums = []
-    for order in (0, 1, 2):
-        weights = vt_weight_vector(order, n + 2)
-        sums.append(sum(f * w for f, w in zip(profile, weights)))
-    return SyndromeTuple(n, sums[0] % m0, sums[1] % m1, sums[2] % m2, adjacency_count(padded) % m3)
-
-
 def sign_preserving_number(z: Sequence[int]) -> int:
     """Minimum number of contiguous segments, each all >= 0 or all <= 0.
 
@@ -155,21 +131,3 @@ def sign_preserving_number(z: Sequence[int]) -> int:
             segments += 1
             polarity = sign
     return segments
-
-
-def zero_syndrome_forces_zero(z: Sequence[int]) -> bool:
-    """Check one vector against the zero-forcing property.
-
-    True unless ``z`` is nonzero yet orthogonal to every weight vector of
-    order below its sign-preserving number.  Expected to hold for every
-    input; used as a test oracle.
-    """
-    if len(z) == 0:
-        raise ValueError("empty sequence")
-    if not any(z):
-        return True
-    sigma = sign_preserving_number(z)
-    for order in range(sigma):
-        if sum(v * (j + 1) ** order for j, v in enumerate(z)) != 0:
-            return True
-    return False

@@ -11,9 +11,10 @@ from itertools import product
 import pytest
 
 import oracles
+from oracles import zero_syndrome_forces_zero
 from twoedit import analysis, cli, code
 from twoedit.channel import all_patterns, apply_errors, edit_distance
-from twoedit.syndrome import sign_preserving_number, zero_syndrome_forces_zero
+from twoedit.syndrome import sign_preserving_number
 from twoedit.words import Word, adjacency_count, adjacency_profile, invert, pad
 
 

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import confusable_within
 from twoedit.channel import (
     ErrorPattern,
     all_patterns,
     apply_errors,
-    confusable_within,
     edit_distance,
     error_ball,
     exact_patterns,

@@ -1,5 +1,6 @@
 import math
 import os
+from collections import Counter
 
 import pytest
 
@@ -92,6 +93,33 @@ def test_syndrome_classes_partition_the_space():
         assert census.counts[st.pack()] == len(members)
 
 
+@pytest.mark.parametrize("n", range(7, 17))
+def test_census_matches_the_word_by_word_sweep(n):
+    assert bucket_census(n).counts == oracles.census_counts(n)
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+@pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
+def test_groups_match_the_word_by_word_sweep(n, mode):
+    groups = syndrome_groups(n, mode)
+    reference = oracles.syndrome_groups(n, exact=mode == MODE_EXACT)
+    assert list(groups.items()) == list(reference.items())
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_member_values_match_member_value(n):
+    census = bucket_census(n)
+    largest = census.largest()[0]
+    s3_words = Counter()
+    for key, count in census.counts.items():
+        s3_words[SyndromeTuple.unpack(key, n).s3] += count
+    common = s3_words.most_common(1)[0][0]
+    other = next(st for st, _ in census.top(census.class_count()) if st.s3 != common)
+    for residues in (largest, other):
+        p = CodeParams(residues)
+        assert code._member_values(p) == tuple(v for v in range(1 << n) if member_value(v, p))
+
+
 def test_census_is_traversal_order_independent():
     census = bucket_census(8)
     reversed_counts: dict[int, int] = {}
@@ -101,15 +129,24 @@ def test_census_is_traversal_order_independent():
     assert census.counts == reversed_counts
 
 
-def test_census_worker_count_does_not_matter():
-    assert bucket_census(11, workers=3).counts == bucket_census(11).counts
-
-
 def test_census_ranking_is_deterministic():
     census = Census(7, {5: 2, 3: 2, 9: 1})
     top = census.top(3)
     assert [t[1] for t in top] == [2, 2, 1]
     assert top[0][0].pack() == 3 and top[1][0].pack() == 5
+
+
+def test_census_selection_matches_a_full_sort():
+    census = Census(7, {40: 3, 7: 1, 12: 3, 99: 2, 3: 1, 51: 3, 8: 2})  # ties at every size
+    ranked = [
+        (SyndromeTuple.unpack(key, 7), count)
+        for key, count in sorted(census.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ]
+    for k in (0, 1, 5, census.class_count() + 3):
+        assert census.top(k) == ranked[:k]
+    assert census.largest() == ranked[0]
+    with pytest.raises(ValueError, match="at least 0"):
+        census.top(-1)
 
 
 def test_pigeonhole_floor_holds():

@@ -6,15 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import syndrome_tuple_naive, vt_weight_vector, zero_syndrome_forces_zero
 from twoedit.syndrome import (
     SyndromeTuple,
     moduli,
     padded_weight_sums,
     sign_preserving_number,
     syndrome_tuple,
-    syndrome_tuple_naive,
-    vt_weight_vector,
-    zero_syndrome_forces_zero,
 )
 from twoedit.words import Word, adjacency_profile, invert
 
