@@ -23,7 +23,6 @@ from .channel import (
     ErrorPattern,
     apply_errors,
     edit_distance,
-    error_ball,
     parse_pattern,
 )
 from .code import (
@@ -65,7 +64,6 @@ __all__ = [
     "edit_distance",
     "encode_index",
     "enumerate_codewords",
-    "error_ball",
     "invert",
     "is_codeword",
     "is_good_pair",

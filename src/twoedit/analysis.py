@@ -10,6 +10,13 @@ into both sequences at a cut that no matched pair crosses; this pulls the
 errors apart while preserving the adjacency-count difference exactly and
 embedding the old profile difference into the new one as a subsequence.
 
+The relation of a pair comes from one suffix-cost table for every shape.
+Its cell (i, j, a) is reached after consuming i symbols of x and j of y
+while x still owes a deletions; y then owes b = a + i - j, because both
+sides have matched i - (s - a) = j - (s - b) symbols.  Only 0 <= a, b <= 2
+occur, so a table has at most 9(n+1) cells, and since no cell depends on
+the total s, the cell (0, 0, s) prices every shape with s deletions a side.
+
 All positions below are 1-based, matching the convention used by error
 patterns and reports.
 """
@@ -348,36 +355,40 @@ def segment_once(x: Word, y: Word, alignment: Alignment, cut: tuple[int, int]) -
 _INF = 1 << 20
 
 
-def _suffix_costs(x: Word, y: Word, s: int) -> list[list[list[int]]]:
-    """g[i][j][d]: fewest mismatched pairs finishing the alignment after
-    consuming i of x and j of y with d deletions taken from x (deletions and
-    mismatches are restricted to interior positions)."""
+# (a, b, index of the cell in its row), b ascending within each a
+_CELLS = tuple((a, b, 3 * a + b) for a in range(3) for b in range(3))
+
+
+def _suffix_costs(x: Word, y: Word) -> list[list[int]]:
+    """g[i][3a + b]: fewest mismatched pairs finishing the alignment after
+    consuming i of x and j of y, while x still owes a deletions and y owes
+    b = a + i - j, 0 <= a, b <= 2 (deletions and mismatches are restricted
+    to interior positions).  No cell depends on s: g[0][4s] is the cost of
+    every shape with s deletions a side."""
     n = len(x)
     xb, yb = tuple(x), tuple(y)
-    g = [[[_INF] * (s + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    g[n][n][s] = 0
-    for i in range(n, -1, -1):
-        gi = g[i]
-        gi1 = g[i + 1] if i < n else None
-        for j in range(n, -1, -1):
-            for d in range(s, -1, -1):
-                if i == n and j == n:
-                    continue
-                e = d - (i - j)
-                if e < 0 or e > s:
-                    continue
-                best = _INF
-                interior_u = 2 <= i + 1 <= n - 1
-                if i < n and j < n:
-                    if xb[i] == yb[j]:
-                        best = gi1[j + 1][d]
-                    elif interior_u:
-                        best = 1 + gi1[j + 1][d]
-                if i < n and d < s and interior_u:
-                    best = min(best, gi1[j][d + 1])
-                if j < n and e < s and 2 <= j + 1 <= n - 1:
-                    best = min(best, gi[j + 1][d])
-                gi[j][d] = best
+    g = [[_INF] * 9 for _ in range(n + 1)]
+    # Row n: with x consumed, y can only finish by deletions, and its last
+    # symbol is not interior, so every cell but the final one stays infinite.
+    g[n][0] = 0
+    for i in range(n - 1, -1, -1):
+        gi, gi1 = g[i], g[i + 1]
+        interior_u = 2 <= i + 1 <= n - 1
+        for a, b, k in _CELLS:
+            j = i + a - b
+            if not 0 <= j <= n:
+                continue
+            best = _INF
+            if j < n:
+                if xb[i] == yb[j]:
+                    best = gi1[k]
+                elif interior_u:
+                    best = 1 + gi1[k]
+                if b and 2 <= j + 1 <= n - 1 and gi[k - 1] < best:
+                    best = gi[k - 1]
+            if a and interior_u and gi1[k - 3] < best:
+                best = gi1[k - 3]
+            gi[k] = best
     return g
 
 
@@ -385,11 +396,12 @@ def _reconstruct(x: Word, y: Word, s: int, g) -> list[tuple]:
     """Leftmost optimal alignment, preferring match > sub > del_u > del_v."""
     n = len(x)
     xb, yb = tuple(x), tuple(y)
-    i = j = d = 0
-    rem = g[0][0][0]
+    i = j = 0
+    a = b = s
+    rem = g[0][4 * s]
     ops: list[tuple] = []
     while i < n or j < n:
-        if i < n and j < n and xb[i] == yb[j] and g[i + 1][j + 1][d] == rem:
+        if i < n and j < n and xb[i] == yb[j] and g[i + 1][3 * a + b] == rem:
             ops.append(("match", i + 1, j + 1))
             i += 1
             j += 1
@@ -399,39 +411,25 @@ def _reconstruct(x: Word, y: Word, s: int, g) -> list[tuple]:
             and j < n
             and xb[i] != yb[j]
             and 2 <= i + 1 <= n - 1
-            and g[i + 1][j + 1][d] == rem - 1
+            and g[i + 1][3 * a + b] == rem - 1
         ):
             ops.append(("sub", i + 1, j + 1))
             i += 1
             j += 1
             rem -= 1
             continue
-        if i < n and d < s and 2 <= i + 1 <= n - 1 and g[i + 1][j][d + 1] == rem:
+        if i < n and a and 2 <= i + 1 <= n - 1 and g[i + 1][3 * a - 3 + b] == rem:
             ops.append(("del_u", i + 1))
             i += 1
-            d += 1
+            a -= 1
             continue
-        e = d - (i - j)
-        if j < n and e < s and 2 <= j + 1 <= n - 1 and g[i][j + 1][d] == rem:
+        if j < n and b and 2 <= j + 1 <= n - 1 and g[i][3 * a + b - 1] == rem:
             ops.append(("del_v", j + 1))
             j += 1
+            b -= 1
             continue
         raise AssertionError("alignment reconstruction lost the optimal path")
     return ops
-
-
-def _substitution_only_ops(x: Word, y: Word, r: int) -> list[tuple] | None:
-    """Identity matching with subs at the mismatches, or None if more than
-    2r mismatches or a mismatch at a non-interior position."""
-    n = len(x)
-    xb, yb = tuple(x), tuple(y)
-    mismatches = [p + 1 for p in range(n) if xb[p] != yb[p]]
-    if len(mismatches) > 2 * r:
-        return None
-    if mismatches and not 2 <= mismatches[0] <= mismatches[-1] <= n - 1:
-        return None
-    wrong = set(mismatches)
-    return [("sub" if p in wrong else "match", p, p) for p in range(1, n + 1)]
 
 
 _RELATION_ORDER = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
@@ -443,26 +441,17 @@ def find_relation(
     """A relation carrying ``x`` to ``y``: s interior deletions on each side
     plus 2r substitution pairs (trivial fills added to reach an even count).
     By default the smallest relation (s + r, then s) is chosen; passing s
-    and/or r pins the shape.  Raises NoRelationError if nothing fits within
+    and/or r pins the shape.  One cost table is built per call and serves
+    every shape: the fewest mismatches with s deletions a side is its cell
+    (0, 0, s), where x still owes a = s deletions and y owes
+    b = a + i - j = s.  Raises NoRelationError if nothing fits within
     s + r = 2."""
     if len(x) != len(y):
         raise ValueError("related words must have equal length")
-    candidates = [
-        (cs, cr)
-        for cs, cr in _RELATION_ORDER
-        if (s is None or cs == s) and (r is None or cr == r)
-    ]
-    tables: dict[int, list] = {}
-    for cs, cr in candidates:
-        if cs == 0:
-            ops = _substitution_only_ops(x, y, cr)
-            if ops is not None:
-                return cs, cr, _with_trivial_fills(ops, 2 * cr, len(x))
-            continue
-        if cs not in tables:
-            tables[cs] = _suffix_costs(x, y, cs)
-        if tables[cs][0][0][0] <= 2 * cr:
-            ops = _reconstruct(x, y, cs, tables[cs])
+    g = _suffix_costs(x, y)
+    for cs, cr in _RELATION_ORDER:
+        if (s is None or cs == s) and (r is None or cr == r) and g[0][4 * cs] <= 2 * cr:
+            ops = _reconstruct(x, y, cs, g)
             return cs, cr, _with_trivial_fills(ops, 2 * cr, len(x))
     shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"
     raise NoRelationError(

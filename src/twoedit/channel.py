@@ -1,4 +1,4 @@
-"""Edit operations, error balls, and edit distance.
+"""Edit operations and edit distance.
 
 An error pattern expresses all of its positions in the original word's frame:
 substitutions and deletions name 1-based indices of the original word,
@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
 
 from .words import Word
-
-MAX_BALL_EDITS = 4
 
 
 @dataclass(frozen=True)
@@ -120,47 +117,6 @@ def apply_errors(x: Word, p: ErrorPattern) -> Word:
         if pos <= n and pos not in deleted:
             out.append(subbed.get(pos, x[g]))
     return Word(out)
-
-
-def _insertion_patterns(n: int, t: int):
-    for gaps in combinations_with_replacement(range(n + 1), t):
-        for syms in product((0, 1), repeat=t):
-            yield tuple(zip(gaps, syms))
-
-
-def exact_patterns(n: int, t: int, s: int, r: int):
-    """Every pattern with exactly t insertions, s deletions, r substitutions
-    against a word of length n."""
-    if min(t, s, r) < 0:
-        raise ValueError("edit counts must be non-negative")
-    if s > n:
-        raise ValueError(f"cannot delete {s} symbols from a word of length {n}")
-    positions = range(1, n + 1)
-    for dels in combinations(positions, s):
-        remaining = [p for p in positions if p not in dels]
-        for sub_pos in combinations(remaining, r):
-            for syms in product((0, 1), repeat=r):
-                for ins in _insertion_patterns(n, t):
-                    yield ErrorPattern(tuple(zip(sub_pos, syms)), dels, ins)
-
-
-def all_patterns(n: int, max_edits: int = 2):
-    """Every pattern with t + s + r <= max_edits, in a fixed order."""
-    for total in range(max_edits + 1):
-        for t in range(total + 1):
-            for s in range(total - t + 1):
-                r = total - t - s
-                if s > n:
-                    continue
-                yield from exact_patterns(n, t, s, r)
-
-
-def error_ball(x: Word, t: int, s: int, r: int) -> set[Word]:
-    """All words reachable from ``x`` by exactly t insertions, s deletions,
-    and r substitutions (trivial substitutions included), deduplicated."""
-    if t + s + r > MAX_BALL_EDITS:
-        raise ValueError(f"ball enumeration is bounded at {MAX_BALL_EDITS} total edits")
-    return {apply_errors(x, p) for p in exact_patterns(len(x), t, s, r)}
 
 
 def edit_distance(x: Word, y: Word) -> int:

@@ -36,7 +36,14 @@ from functools import lru_cache
 from typing import Iterator
 
 from .channel import edit_distance
-from .syndrome import COUNT_MODULUS, MIN_CODE_LENGTH, SyndromeTuple, moduli, padded_weight_sums
+from .syndrome import (
+    COUNT_MODULUS,
+    MIN_CODE_LENGTH,
+    SyndromeTuple,
+    moduli,
+    padded_weight_sums,
+    profile_sums,
+)
 from .words import Word
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -122,22 +129,6 @@ def enumerate_codewords(p: CodeParams, cap: int | None = None) -> list[Word]:
     return [Word.from_int(v, p.n) for v in _codeword_values(p, cap)]
 
 
-def _profile_sums(value: int, length: int, prev: int, j: int) -> tuple[int, int, int, int]:
-    """Sums of the adjacency profile of the ``length`` bits of ``value`` (first
-    bit most significant) entered after symbol ``prev``, at weights j, j+1, ...
-    with powers 0, 1, 2; the fourth entry is the adjacency count."""
-    count = s0 = s1 = s2 = 0
-    for shift in range(length - 1, -1, -1):
-        bit = (value >> shift) & 1
-        count += bit != prev
-        prev = bit
-        s0 += count
-        s1 += count * j
-        s2 += count * j * j
-        j += 1
-    return s0, s1, s2, count
-
-
 def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[int, list[int]]]:
     """For each head, ascending, yield ``(base, keys)``: the packed value of
     the head's first word and the packed keys of its 2^t words in ascending
@@ -156,7 +147,7 @@ def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[in
     w0, w1, w2 = (sum(j**k for j in range(h + 2, n + 3)) for k in range(3))
     # each tail with the right pad appended, entered after each last head bit
     tails = [
-        [_profile_sums(lo << 1, t + 1, last, h + 2) for lo in range(1 << t)] for last in (0, 1)
+        [profile_sums(lo << 1, t + 1, last, h + 2) for lo in range(1 << t)] for last in (0, 1)
     ]
     # One row per head count c, which fixes the head's last bit; the reduced
     # count (c + lc) % r3 is below p2, so it rides in the third term.
@@ -165,7 +156,7 @@ def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[in
         for c in range(h + 1)
     ]
     for hi in range(1 << h):
-        a0, a1, a2, c = _profile_sums(hi, h, 0, 2)
+        a0, a1, a2, c = profile_sums(hi, h, 0, 2)
         a0 = (a0 + c * w0) * p0
         a1 = (a1 + c * w1) * p1
         a2 = (a2 + c * w2) * p2

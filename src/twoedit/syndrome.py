@@ -73,32 +73,32 @@ class SyndromeTuple:
             raise ValueError(f"missing field {exc} in syndrome record {text!r}") from None
 
 
-def padded_weight_sums(value: int, n: int) -> tuple[int, int, int, int]:
-    """Exact dot products of the padded profile with the three weight vectors.
-
-    ``value`` is the packed word (first symbol = most significant bit).
-    Returns (sum0, sum1, sum2, padded adjacency count), unreduced.  Single
-    pass; the profile and weight vectors are never materialized.
-    """
-    count = 0
-    s0 = s1 = s2 = 0
-    prev = 0
-    for i in range(1, n + 1):
-        j = i + 1
-        bit = (value >> (n - i)) & 1
+def profile_sums(value: int, length: int, prev: int, j: int) -> tuple[int, int, int, int]:
+    """Sums of the adjacency profile of the ``length`` bits of ``value`` (first
+    bit most significant) entered after symbol ``prev``, at weights j, j+1, ...
+    with powers 0, 1, 2; the fourth entry is the adjacency count."""
+    count = s0 = s1 = s2 = 0
+    for shift in range(length - 1, -1, -1):
+        bit = (value >> shift) & 1
         if bit != prev:
             count += 1
         prev = bit
         s0 += count
         s1 += count * j
         s2 += count * j * j
-    j = n + 2
-    if prev != 0:
-        count += 1
-    s0 += count
-    s1 += count * j
-    s2 += count * j * j
+        j += 1
     return s0, s1, s2, count
+
+
+def padded_weight_sums(value: int, n: int) -> tuple[int, int, int, int]:
+    """Exact dot products of the padded profile with the three weight vectors.
+
+    ``value`` is the packed word (first symbol = most significant bit).
+    Returns (sum0, sum1, sum2, padded adjacency count), unreduced.  Single
+    pass; the profile and weight vectors are never materialized.  The left
+    pad only sets the first ``prev``: its profile entry, at weight 1, is 0.
+    """
+    return profile_sums(value << 1, n + 1, 0, 2)
 
 
 def syndrome_tuple(x: Word) -> SyndromeTuple:

@@ -7,9 +7,11 @@ exhaustive enumeration, not against the package's own code paths.
 from __future__ import annotations
 
 import random
+from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
-from twoedit.channel import apply_errors, edit_distance, error_ball, random_pattern
+from twoedit.analysis import _RELATION_ORDER, Alignment, NoRelationError, _with_trivial_fills
+from twoedit.channel import ErrorPattern, apply_errors, edit_distance, random_pattern
 from twoedit.decoder import MAX_EDITS, ReceivedLengthError
 from twoedit.syndrome import (
     MIN_CODE_LENGTH,
@@ -103,6 +105,50 @@ def random_confusable_pair(rng: random.Random, n: int) -> tuple[Word, Word]:
         y = Word(bits)
         if y != x:
             return x, y
+
+
+MAX_BALL_EDITS = 4
+
+
+def _insertion_patterns(n: int, t: int):
+    for gaps in combinations_with_replacement(range(n + 1), t):
+        for syms in product((0, 1), repeat=t):
+            yield tuple(zip(gaps, syms))
+
+
+def exact_patterns(n: int, t: int, s: int, r: int):
+    """Every pattern with exactly t insertions, s deletions, r substitutions
+    against a word of length n."""
+    if min(t, s, r) < 0:
+        raise ValueError("edit counts must be non-negative")
+    if s > n:
+        raise ValueError(f"cannot delete {s} symbols from a word of length {n}")
+    positions = range(1, n + 1)
+    for dels in combinations(positions, s):
+        remaining = [p for p in positions if p not in dels]
+        for sub_pos in combinations(remaining, r):
+            for syms in product((0, 1), repeat=r):
+                for ins in _insertion_patterns(n, t):
+                    yield ErrorPattern(tuple(zip(sub_pos, syms)), dels, ins)
+
+
+def all_patterns(n: int, max_edits: int = 2):
+    """Every pattern with t + s + r <= max_edits, in a fixed order."""
+    for total in range(max_edits + 1):
+        for t in range(total + 1):
+            for s in range(total - t + 1):
+                r = total - t - s
+                if s > n:
+                    continue
+                yield from exact_patterns(n, t, s, r)
+
+
+def error_ball(x: Word, t: int, s: int, r: int) -> set[Word]:
+    """All words reachable from ``x`` by exactly t insertions, s deletions,
+    and r substitutions (trivial substitutions included), deduplicated."""
+    if t + s + r > MAX_BALL_EDITS:
+        raise ValueError(f"ball enumeration is bounded at {MAX_BALL_EDITS} total edits")
+    return {apply_errors(x, p) for p in exact_patterns(len(x), t, s, r)}
 
 
 def candidate_preimages_ball(received: Word, n: int) -> set[Word]:
@@ -210,3 +256,127 @@ def syndrome_groups(n: int, exact: bool) -> dict[tuple[int, ...], list[int]]:
     for v, key in enumerate(sweep_keys(n, exact)):
         groups.setdefault(key, []).append(v)
     return groups
+
+
+# --- relation search, one table per shape ----------------------------------
+# The reference for analysis.find_relation's single banded table.  The shape
+# order and the trivial fills are the library's own.
+
+_INF = 1 << 20
+
+
+def _suffix_costs(x: Word, y: Word, s: int) -> list[list[list[int]]]:
+    """g[i][j][d]: fewest mismatched pairs finishing the alignment after
+    consuming i of x and j of y with d deletions taken from x (deletions and
+    mismatches are restricted to interior positions)."""
+    n = len(x)
+    xb, yb = tuple(x), tuple(y)
+    g = [[[_INF] * (s + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    g[n][n][s] = 0
+    for i in range(n, -1, -1):
+        gi = g[i]
+        gi1 = g[i + 1] if i < n else None
+        for j in range(n, -1, -1):
+            for d in range(s, -1, -1):
+                if i == n and j == n:
+                    continue
+                e = d - (i - j)
+                if e < 0 or e > s:
+                    continue
+                best = _INF
+                interior_u = 2 <= i + 1 <= n - 1
+                if i < n and j < n:
+                    if xb[i] == yb[j]:
+                        best = gi1[j + 1][d]
+                    elif interior_u:
+                        best = 1 + gi1[j + 1][d]
+                if i < n and d < s and interior_u:
+                    best = min(best, gi1[j][d + 1])
+                if j < n and e < s and 2 <= j + 1 <= n - 1:
+                    best = min(best, gi[j + 1][d])
+                gi[j][d] = best
+    return g
+
+
+def _reconstruct(x: Word, y: Word, s: int, g) -> list[tuple]:
+    """Leftmost optimal alignment, preferring match > sub > del_u > del_v."""
+    n = len(x)
+    xb, yb = tuple(x), tuple(y)
+    i = j = d = 0
+    rem = g[0][0][0]
+    ops: list[tuple] = []
+    while i < n or j < n:
+        if i < n and j < n and xb[i] == yb[j] and g[i + 1][j + 1][d] == rem:
+            ops.append(("match", i + 1, j + 1))
+            i += 1
+            j += 1
+            continue
+        if (
+            i < n
+            and j < n
+            and xb[i] != yb[j]
+            and 2 <= i + 1 <= n - 1
+            and g[i + 1][j + 1][d] == rem - 1
+        ):
+            ops.append(("sub", i + 1, j + 1))
+            i += 1
+            j += 1
+            rem -= 1
+            continue
+        if i < n and d < s and 2 <= i + 1 <= n - 1 and g[i + 1][j][d + 1] == rem:
+            ops.append(("del_u", i + 1))
+            i += 1
+            d += 1
+            continue
+        e = d - (i - j)
+        if j < n and e < s and 2 <= j + 1 <= n - 1 and g[i][j + 1][d] == rem:
+            ops.append(("del_v", j + 1))
+            j += 1
+            continue
+        raise AssertionError("alignment reconstruction lost the optimal path")
+    return ops
+
+
+def _substitution_only_ops(x: Word, y: Word, r: int) -> list[tuple] | None:
+    """Identity matching with subs at the mismatches, or None if more than
+    2r mismatches or a mismatch at a non-interior position."""
+    n = len(x)
+    xb, yb = tuple(x), tuple(y)
+    mismatches = [p + 1 for p in range(n) if xb[p] != yb[p]]
+    if len(mismatches) > 2 * r:
+        return None
+    if mismatches and not 2 <= mismatches[0] <= mismatches[-1] <= n - 1:
+        return None
+    wrong = set(mismatches)
+    return [("sub" if p in wrong else "match", p, p) for p in range(1, n + 1)]
+
+
+def find_relation_per_shape(
+    x: Word, y: Word, s: int | None = None, r: int | None = None
+) -> tuple[int, int, Alignment]:
+    """``analysis.find_relation`` by one search per shape: the identity
+    matching for s = 0, and a full (n+1)^2 (s+1) cost table for each s >= 1,
+    cached for the call."""
+    if len(x) != len(y):
+        raise ValueError("related words must have equal length")
+    candidates = [
+        (cs, cr)
+        for cs, cr in _RELATION_ORDER
+        if (s is None or cs == s) and (r is None or cr == r)
+    ]
+    tables: dict[int, list] = {}
+    for cs, cr in candidates:
+        if cs == 0:
+            ops = _substitution_only_ops(x, y, cr)
+            if ops is not None:
+                return cs, cr, _with_trivial_fills(ops, 2 * cr, len(x))
+            continue
+        if cs not in tables:
+            tables[cs] = _suffix_costs(x, y, cs)
+        if tables[cs][0][0][0] <= 2 * cr:
+            ops = _reconstruct(x, y, cs, tables[cs])
+            return cs, cr, _with_trivial_fills(ops, 2 * cr, len(x))
+    shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"
+    raise NoRelationError(
+        f"no relation{shape} with at most two deletions+substitutions joins {x} and {y}"
+    )

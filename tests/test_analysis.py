@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
+from twoedit import analysis
 from twoedit.analysis import (
     Alignment,
     AlignmentError,
@@ -195,6 +196,58 @@ def test_find_relation_shapes():
         find_relation(Word("0000000"), Word("1111111"))
     with pytest.raises(ValueError):
         find_relation(Word("01"), Word("011"))
+
+
+def _relation_outcomes(search, x, y):
+    """(s, r, ops), or the exception type and message, under the default
+    shape and each pinned one."""
+    out = []
+    for shape in ((None, None),) + analysis._RELATION_ORDER:
+        try:
+            s, r, alignment = search(x, y, *shape)
+            out.append((s, r, alignment.ops))
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_find_relation_matches_the_per_shape_search_exhaustive(n):
+    # n = 0, 1, 2 have no interior position: only s = 0 with no mismatch fits
+    words = [Word.from_int(v, n) for v in range(1 << n)]
+    for x, y in product(words, repeat=2):
+        expected = _relation_outcomes(oracles.find_relation_per_shape, x, y)
+        assert _relation_outcomes(find_relation, x, y) == expected, (x, y)
+
+
+@pytest.mark.parametrize("n", (24, 48, 64))
+def test_find_relation_matches_the_per_shape_search_on_padded_pairs(n):
+    rng = random.Random(500 + n)
+    for _ in range(60):
+        x, y = (pad(w) for w in oracles.random_confusable_pair(rng, n - 2))
+        expected = _relation_outcomes(oracles.find_relation_per_shape, x, y)
+        assert _relation_outcomes(find_relation, x, y) == expected, (x, y)
+
+
+def test_find_relation_builds_one_table_per_call(monkeypatch):
+    tables = []
+    build = analysis._suffix_costs
+    monkeypatch.setattr(analysis, "_suffix_costs", lambda x, y: tables.append(1) or build(x, y))
+    cases = (
+        ((Word("00010"), Word("01110")), (None, None), 0),
+        ((Word("00011000"), Word("01100110")), (None, None), 2),
+        ((Word("00010"), Word("01110")), (2, 0), 2),
+    )
+    for (x, y), shape, s in cases:
+        tables.clear()
+        assert find_relation(x, y, *shape)[0] == s
+        assert len(tables) == 1
+    # separate_errors looks find_relation up as a module global
+    calls = []
+    search = analysis.find_relation
+    monkeypatch.setattr(analysis, "find_relation", lambda *a: calls.append(a) or search(*a))
+    separate_errors(Word("00011000"), Word("01100110"), 5)
+    assert len(calls) == 1
 
 
 def test_separate_errors_zero_rounds_cases():

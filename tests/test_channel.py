@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import confusable_within
+from oracles import all_patterns, confusable_within, error_ball, exact_patterns
 from twoedit.channel import (
     ErrorPattern,
-    all_patterns,
     apply_errors,
     edit_distance,
-    error_ball,
-    exact_patterns,
     format_pattern,
     parse_pattern,
     random_pattern,

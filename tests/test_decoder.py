@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import candidate_preimages_ball
-from twoedit.channel import all_patterns, apply_errors, edit_distance, error_ball, random_pattern
+from oracles import all_patterns, candidate_preimages_ball, error_ball
+from twoedit.channel import apply_errors, edit_distance, random_pattern
 from twoedit.code import CodeParams, best_params, enumerate_codewords
 from twoedit.decoder import (
     AmbiguousDecodeError,
