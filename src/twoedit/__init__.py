@@ -38,7 +38,7 @@ from .code import (
 )
 from .decoder import AmbiguousDecodeError, NoCandidateError, candidate_preimages, decode
 from .syndrome import SyndromeTuple, sign_preserving_number, syndrome_tuple
-from .words import Word, adjacency_count, adjacency_profile, invert, pad
+from .words import Word, adjacency_count, adjacency_profile, pad
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "edit_distance",
     "encode_index",
     "enumerate_codewords",
-    "invert",
     "is_codeword",
     "is_good_pair",
     "pad",

@@ -120,18 +120,6 @@ def check_alignment(u: Word, v: Word, alignment: Alignment) -> None:
         raise AlignmentError("alignment does not consume both words exactly")
 
 
-def alignment_from_positions(
-    u: Word, v: Word, positions: tuple[int, ...] | list[int], s: int, r: int
-) -> Alignment:
-    """Alignment induced by error positions given as the usual ordered block
-    (s deletions in U, then 2r substitutions in U, then s deletions in V)."""
-    dels_u, subs_u, dels_v = _split_positions(u, v, positions, s, r)
-    n = len(u)
-    remaining_u = [p for p in range(1, n + 1) if p not in dels_u]
-    remaining_v = [p for p in range(1, n + 1) if p not in dels_v]
-    return _merge_ops(zip(remaining_u, remaining_v), subs_u, sorted(dels_u), sorted(dels_v))
-
-
 def _merge_ops(pairs, subs, dels_u: list[int], dels_v: list[int]) -> Alignment:
     """Alignment of matched ``pairs`` in order, each preceded by the sorted
     deletions that come before it; a pair whose U position is in ``subs`` is

@@ -120,19 +120,37 @@ def apply_errors(x: Word, p: ErrorPattern) -> Word:
 
 
 def edit_distance(x: Word, y: Word) -> int:
-    """Unit-cost edit distance (insertions, deletions, substitutions)."""
-    a, b = list(x), list(y)
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    cur = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, len(b) + 1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ai != b[j - 1]))
-        prev, cur = cur, prev
-    return prev[len(b)]
+    """Unit-cost edit distance (insertions, deletions, substitutions).
+
+    Myers' bit-parallel algorithm in Hyyrö's formulation: the longer word is
+    the pattern, one bit per row of a DP column, held as its vertical +1 and
+    -1 deltas, and each symbol of the shorter word advances the whole column
+    by a few word operations.  Bit i of a packed value is the i-th symbol
+    from the end, so both words are read reversed, which leaves the distance
+    unchanged.
+    """
+    m, k = len(x), len(y)
+    if m < k:
+        x, y, m, k = y, x, k, m
+    mask = (1 << m) - 1
+    eq1 = x.value
+    eq0 = eq1 ^ mask
+    vp, vn = mask, 0
+    t = y.value
+    for _ in range(k):
+        xv = (eq1 if t & 1 else eq0) | vn
+        t >>= 1
+        d0 = (((xv & vp) + vp) ^ vp) | xv
+        hp = vn | ~(d0 | vp)
+        # The top row's horizontal delta is +1.  Carries and left shifts only
+        # move up, so bits at m and above never reach the column; masking vp
+        # keeps the ints small.  vn stays below bit m: a carry into bit m
+        # needs vp's top bit, which clears the top bit of hp.
+        xh = (hp << 1) | 1
+        vn = xh & d0
+        vp = (((vp & d0) << 1) | ~(xh | d0)) & mask
+    # The top cell of the last column is k; its deltas lead to the bottom one.
+    return k + vp.bit_count() - vn.bit_count()
 
 
 def random_pattern(rng: random.Random, n: int, max_edits: int = 2,

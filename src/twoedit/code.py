@@ -1,9 +1,13 @@
 """The code family: membership, enumeration, census, and index coding.
 
 For length n >= 7 a parameter choice is one residue tuple; the code is the
-set of words whose syndrome tuple equals it.  The syndrome classes partition
-{0,1}^n, so pairwise verification sweeps are sharded over disjoint groups and
-merged associatively.
+set of words whose syndrome tuple equals it.
+
+Pairwise verification counts, then collects.  A first sweep counts every
+class; a second keeps members only for the classes that hold two or more
+words, since only those hold a pair to check.  The classes partition
+{0,1}^n, so those pairs are sharded over disjoint classes and the shard
+results merged associatively.
 
 Census, grouping and enumeration share one split-word sweep.  A word is a
 head ``hi`` of h = n // 2 bits followed by a tail ``lo`` of t = n - h bits.
@@ -27,7 +31,6 @@ the unreduced sums.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -275,10 +278,12 @@ class SweepReport:
         return not self.violations
 
 
-def syndrome_groups(
-    n: int, mode: str = MODE_BUCKET, cap: int | None = None
-) -> dict[tuple[int, ...], list[int]]:
-    """Group every word of {0,1}^n by residue tuple or exact weight sums."""
+def _shared_classes(
+    n: int, mode: str, cap: int | None = None
+) -> tuple[int, list[tuple[tuple[int, ...], list[int]]]]:
+    """The number of occupied classes, and the classes holding two or more
+    words as ascending ``(key, members)`` pairs: a residue tuple, or the
+    exact weight sums, with its members in ascending packed value."""
     _check_cap(n, cap)
     if mode not in (MODE_BUCKET, MODE_EXACT):
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -286,17 +291,25 @@ def syndrome_groups(
         radices = moduli(n)
     else:  # above every unreduced sum (see the module docstring)
         radices = ((n + 2) ** 2, (n + 2) ** 3, (n + 2) ** 4, n + 2)
-    groups: defaultdict[int, list[int]] = defaultdict(list)
+    counts: Counter = Counter()
+    for _, keys in _split_keys(n, radices):
+        counts.update(keys)
+    shared = {key for key, count in counts.items() if count > 1}
+    members: defaultdict[int, list[int]] = defaultdict(list)
     for base, keys in _split_keys(n, radices):
+        if shared.isdisjoint(keys):
+            continue
         for v, key in enumerate(keys, base):
-            groups[key].append(v)
+            if key in shared:
+                members[key].append(v)
     _, r1, r2, r3 = radices
     below_s1 = r2 * r3
     below_s0 = r1 * below_s1
-    return {
-        (key // below_s0, key // below_s1 % r1, key // r3 % r2, key % r3): values
-        for key, values in groups.items()
-    }
+    # the mixed-radix pack orders keys as their tuples
+    return len(counts), [
+        ((key // below_s0, key // below_s1 % r1, key // r3 % r2, key % r3), values)
+        for key, values in sorted(members.items())
+    ]
 
 
 def _distance_shard(args: tuple[int, list[tuple[tuple[int, ...], list[int]]]]):
@@ -329,13 +342,14 @@ def scan_pairwise_distance(
     independent by construction (groups are split deterministically and the
     merge is associative)."""
     check_workers(workers)
-    groups = syndrome_groups(n, mode, cap)
-    items = sorted((key, values) for key, values in groups.items() if len(values) > 1)
+    groups, items = _shared_classes(n, mode, cap)
     if workers == 1 or len(items) < 2:
         shards = [_distance_shard((n, items))]
     else:
         chunk = (len(items) + workers - 1) // workers
         tasks = [(n, items[i : i + chunk]) for i in range(0, len(items), chunk)]
+        import multiprocessing  # here, so that importing the CLI does not load it
+
         with multiprocessing.Pool(len(tasks)) as pool:  # at most `workers` tasks
             shards = pool.map(_distance_shard, tasks)
     pairs = sum(s[0] for s in shards)
@@ -348,7 +362,7 @@ def scan_pairwise_distance(
         n=n,
         mode=mode,
         words=1 << n,
-        groups=len(groups),
+        groups=groups,
         pairs=pairs,
         min_distance=min(mins) if mins else None,
         violations=tuple(violations),

@@ -55,10 +55,6 @@ class Word:
         w._v = value
         return w
 
-    @classmethod
-    def zeros(cls, length: int) -> "Word":
-        return cls.from_int(0, length)
-
     @property
     def value(self) -> int:
         return self._v
@@ -134,18 +130,6 @@ def adjacency_profile(x: Word) -> tuple[int, ...]:
     return tuple(out)
 
 
-def invert(z):
-    """Reversal; accepts a Word or an integer sequence and returns its kind."""
-    if isinstance(z, Word):
-        v = 0
-        u = z.value
-        for _ in range(len(z)):
-            v = (v << 1) | (u & 1)
-            u >>= 1
-        return Word.from_int(v, len(z))
-    return tuple(reversed(z))
-
-
 def parse_word(text: str, lineno: int | None = None) -> Word:
     """Parse one serialized word (a line of '0'/'1' characters)."""
     stripped = text.strip()
@@ -164,8 +148,3 @@ def read_words(lines: Iterable[str]) -> list[Word]:
             continue
         out.append(parse_word(line, lineno))
     return out
-
-
-def write_words(words: Iterable[Word]) -> str:
-    """Serialize words one per line, newline-terminated."""
-    return "".join(f"{w}\n" for w in words)

@@ -10,8 +10,16 @@ import random
 from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
-from twoedit.analysis import _RELATION_ORDER, Alignment, NoRelationError, _with_trivial_fills
-from twoedit.channel import ErrorPattern, apply_errors, edit_distance, random_pattern
+from twoedit.analysis import (
+    _RELATION_ORDER,
+    Alignment,
+    NoRelationError,
+    _merge_ops,
+    _split_positions,
+    _with_trivial_fills,
+)
+from twoedit.channel import ErrorPattern, apply_errors, random_pattern
+from twoedit.code import MODE_EXACT, DistanceViolation, SweepReport
 from twoedit.decoder import MAX_EDITS, ReceivedLengthError
 from twoedit.syndrome import (
     MIN_CODE_LENGTH,
@@ -28,7 +36,14 @@ def transitions(s: str) -> int:
 
 
 def prefix_transitions(s: str) -> tuple[int, ...]:
-    return tuple(transitions(s[: i + 1]) for i in range(len(s)))
+    """``transitions`` of every prefix, by one running count."""
+    out = []
+    count = 0
+    for i, ch in enumerate(s):
+        if i and ch != s[i - 1]:
+            count += 1
+        out.append(count)
+    return tuple(out)
 
 
 def profile_difference(x: Word, y: Word) -> tuple[int, ...]:
@@ -87,6 +102,55 @@ def is_subsequence(small, big) -> bool:
 
 def hamming(x: Word, y: Word) -> int:
     return sum(1 for a, b in zip(x, y) if a != b)
+
+
+def edit_distance_dp(x: Word, y: Word) -> int:
+    """Unit-cost edit distance by the row-by-row dynamic program."""
+    a, b = list(x), list(y)
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    cur = [0] * (len(b) + 1)
+    for i in range(1, len(a) + 1):
+        cur[0] = i
+        ai = a[i - 1]
+        for j in range(1, len(b) + 1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ai != b[j - 1]))
+        prev, cur = cur, prev
+    return prev[len(b)]
+
+
+def zeros(length: int) -> Word:
+    return Word.from_int(0, length)
+
+
+def invert(z):
+    """Reversal; accepts a Word or an integer sequence and returns its kind."""
+    if isinstance(z, Word):
+        v = 0
+        u = z.value
+        for _ in range(len(z)):
+            v = (v << 1) | (u & 1)
+            u >>= 1
+        return Word.from_int(v, len(z))
+    return tuple(reversed(z))
+
+
+def write_words(words) -> str:
+    """Serialize words one per line, newline-terminated."""
+    return "".join(f"{w}\n" for w in words)
+
+
+def alignment_from_positions(
+    u: Word, v: Word, positions: tuple[int, ...] | list[int], s: int, r: int
+) -> Alignment:
+    """Alignment induced by error positions given as the usual ordered block
+    (s deletions in U, then 2r substitutions in U, then s deletions in V)."""
+    dels_u, subs_u, dels_v = _split_positions(u, v, positions, s, r)
+    n = len(u)
+    remaining_u = [p for p in range(1, n + 1) if p not in dels_u]
+    remaining_v = [p for p in range(1, n + 1) if p not in dels_v]
+    return _merge_ops(zip(remaining_u, remaining_v), subs_u, sorted(dels_u), sorted(dels_v))
 
 
 def random_confusable_pair(rng: random.Random, n: int) -> tuple[Word, Word]:
@@ -222,7 +286,7 @@ def confusable_within(x: Word, y: Word, budget: int) -> bool:
     ``budget`` total edits each, i.e. edit distance <= 2 * budget."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    return edit_distance(x, y) <= 2 * budget
+    return edit_distance_dp(x, y) <= 2 * budget
 
 
 def sweep_keys(n: int, exact: bool) -> list[tuple[int, int, int, int]]:
@@ -256,6 +320,31 @@ def syndrome_groups(n: int, exact: bool) -> dict[tuple[int, ...], list[int]]:
     for v, key in enumerate(sweep_keys(n, exact)):
         groups.setdefault(key, []).append(v)
     return groups
+
+
+def scan_pairwise_distance(n: int, mode: str) -> SweepReport:
+    """``code.scan_pairwise_distance`` from every word-by-word group and the
+    DP distance of every pair in it."""
+    groups = syndrome_groups(n, exact=mode == MODE_EXACT)
+    distances = []
+    violations = []
+    for key in sorted(groups):
+        for a, b in combinations(groups[key], 2):
+            x, y = Word.from_int(a, n), Word.from_int(b, n)
+            d = edit_distance_dp(x, y)
+            distances.append(d)
+            if d <= 4:
+                violations.append(DistanceViolation(x, y, d, key))
+    violations.sort(key=lambda v: (v.x.value, v.y.value))
+    return SweepReport(
+        n=n,
+        mode=mode,
+        words=1 << n,
+        groups=len(groups),
+        pairs=len(distances),
+        min_distance=min(distances, default=None),
+        violations=tuple(violations),
+    )
 
 
 # --- relation search, one table per shape ----------------------------------

@@ -11,11 +11,11 @@ from itertools import product
 import pytest
 
 import oracles
-from oracles import all_patterns, zero_syndrome_forces_zero
+from oracles import all_patterns, alignment_from_positions, invert, zero_syndrome_forces_zero
 from twoedit import analysis, cli, code
 from twoedit.channel import apply_errors, edit_distance
 from twoedit.syndrome import sign_preserving_number
-from twoedit.words import Word, adjacency_count, adjacency_profile, invert, pad
+from twoedit.words import Word, adjacency_count, adjacency_profile, pad
 
 
 @contextmanager
@@ -35,13 +35,13 @@ def test_c01_worked_examples():
         assert sign_preserving_number((1, 0, 1, -1, -2, 3)) == 3
 
         u, v = Word("0100000000010"), Word("0000100010000")
-        al = analysis.alignment_from_positions(u, v, (2, 6, 12, 9), s=1, r=1)
+        al = alignment_from_positions(u, v, (2, 6, 12, 9), s=1, r=1)
         kinds, values = analysis.pair_type(u, v, al)
         assert kinds == (analysis.DEL_OVER, analysis.SUB, analysis.DEL_UNDER, analysis.SUB)
         assert values == (2, -2, -2, 2)
 
         u2, v2 = Word("00000110"), Word("01100000")
-        al2 = analysis.alignment_from_positions(u2, v2, (2, 3, 6, 7), s=0, r=2)
+        al2 = alignment_from_positions(u2, v2, (2, 3, 6, 7), s=0, r=2)
         assert analysis.pair_type(u2, v2, al2)[1] == (-2, 0, 0, 2)
 
         x, y = Word("00010"), Word("01110")

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
+from oracles import alignment_from_positions
 from twoedit import analysis
 from twoedit.analysis import (
     Alignment,
@@ -16,7 +17,6 @@ from twoedit.analysis import (
     SUB,
     SeparationError,
     _meet_filler,
-    alignment_from_positions,
     check_alignment,
     classify_errors,
     find_relation,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import all_patterns, confusable_within, error_ball, exact_patterns
+from oracles import all_patterns, confusable_within, edit_distance_dp, error_ball, exact_patterns
 from twoedit.channel import (
     ErrorPattern,
     apply_errors,
@@ -105,6 +105,41 @@ def test_edit_distance_examples():
     assert edit_distance(x, x) == 0
     assert edit_distance(Word("101"), Word("010")) == 2
     assert edit_distance(Word("00"), Word("11")) == 2
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_edit_distance_matches_the_dp_on_every_short_pair(m):
+    # every pair with lengths m and 0..7, unequal lengths and the empty word included
+    others = [y for n in range(8) for y in words_of(n)]
+    for x in words_of(m):
+        for y in others:
+            assert edit_distance(x, y) == edit_distance_dp(x, y), (x, y)
+
+
+def test_edit_distance_matches_the_dp_past_one_machine_word():
+    # lengths up to 130, so both the pattern and the text run past 64 bits;
+    # every other pair is a word and a copy with up to four edits, which
+    # keeps the distance small on long words
+    rng = random.Random(1999)
+    for i in range(2000):
+        m = rng.randint(0, 130)
+        x = Word.from_int(rng.getrandbits(m), m)
+        if i % 2:
+            n = rng.randint(0, 130)
+            y = Word.from_int(rng.getrandbits(n), n)
+        else:
+            bits = list(x)
+            for _ in range(rng.randint(0, 4)):
+                p = rng.randint(0, len(bits))
+                kind = rng.randrange(3) if p < len(bits) else 2
+                if kind == 0:
+                    del bits[p]
+                elif kind == 1:
+                    bits[p] ^= 1
+                else:
+                    bits.insert(p, rng.randint(0, 1))
+            y = Word(bits)
+        assert edit_distance(x, y) == edit_distance_dp(x, y), (x, y)
 
 
 @given(random_words, random_words)

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 from collections import Counter
 
@@ -26,7 +27,6 @@ from twoedit.code import (
     redundancy,
     redundancy_bound,
     scan_pairwise_distance,
-    syndrome_groups,
 )
 from twoedit.syndrome import SyndromeTuple, syndrome_tuple
 from twoedit.words import Word
@@ -84,7 +84,7 @@ def test_enumeration_contains_generators_and_is_sorted():
 def test_syndrome_classes_partition_the_space():
     census = bucket_census(7)
     assert census.total() == 128
-    groups = syndrome_groups(7, MODE_BUCKET)
+    groups = oracles.syndrome_groups(7, exact=False)
     assert sum(len(g) for g in groups.values()) == 128
     assert census.class_count() == len(groups)
     # sizes agree class by class
@@ -101,9 +101,10 @@ def test_census_matches_the_word_by_word_sweep(n):
 @pytest.mark.parametrize("n", range(7, 17))
 @pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
 def test_groups_match_the_word_by_word_sweep(n, mode):
-    groups = syndrome_groups(n, mode)
+    groups, shared = code._shared_classes(n, mode)
     reference = oracles.syndrome_groups(n, exact=mode == MODE_EXACT)
-    assert list(groups.items()) == list(reference.items())
+    assert groups == len(reference)
+    assert shared == sorted((key, values) for key, values in reference.items() if len(values) > 1)
 
 
 @pytest.mark.parametrize("n", range(7, 13))
@@ -192,7 +193,7 @@ def test_enumeration_cap():
     with pytest.raises(ValueError):
         bucket_census(5)
     with pytest.raises(ValueError):
-        syndrome_groups(5)
+        code._shared_classes(5, MODE_BUCKET)
     assert enumeration_cap(10) == 10
     os.environ["TWOEDIT_ENUM_CAP"] = "6"
     try:
@@ -210,26 +211,41 @@ def test_enumeration_cap_holds_on_a_cache_hit(monkeypatch):
         enumerate_codewords(params)
 
 
+class SerialPool:
+    """Stands in for ``multiprocessing.Pool``: maps in this process and
+    records the process count asked for."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
 def test_sweep_pool_has_one_process_per_shard(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(code.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
     # n=11 has 8 groups with two or more words: 5 workers get 4 shards of 2
     assert scan_pairwise_distance(11, workers=5) == scan_pairwise_distance(11)
-    assert sizes == [4]
+    assert SerialPool.sizes == [4]
+
+
+@pytest.mark.parametrize("n", range(7, 15))
+@pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
+def test_sweep_matches_the_oracle_scan(monkeypatch, n, mode):
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    reference = oracles.scan_pairwise_distance(n, mode)
+    for workers in (1, 3):
+        assert scan_pairwise_distance(n, mode, workers=workers) == reference
 
 
 @pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
@@ -261,8 +277,8 @@ def test_sweep_violation_reporting_machinery():
 
 
 def test_exact_groups_refine_buckets():
-    exact = syndrome_groups(9, MODE_EXACT)
-    buckets = syndrome_groups(9, MODE_BUCKET)
+    exact = oracles.syndrome_groups(9, exact=True)
+    buckets = oracles.syndrome_groups(9, exact=False)
     assert sum(len(g) for g in exact.values()) == 512
     assert len(exact) >= len(buckets)
 
@@ -271,7 +287,7 @@ def test_close_hamming_pairs_never_share_exact_sums():
     # equal-length words differing in at most 4 positions always differ in
     # some exact weight sum
     for n in (7, 8):
-        for values in syndrome_groups(n, MODE_EXACT).values():
+        for values in oracles.syndrome_groups(n, exact=True).values():
             words = [Word.from_int(v, n) for v in values]
             for i in range(len(words)):
                 for j in range(i + 1, len(words)):

