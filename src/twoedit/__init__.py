@@ -14,7 +14,6 @@ from .analysis import (
     ErrorTypeValue,
     Separation,
     classify_errors,
-    is_good_pair,
     pair_type,
     segment_once,
     separate_errors,
@@ -65,7 +64,6 @@ __all__ = [
     "encode_index",
     "enumerate_codewords",
     "is_codeword",
-    "is_good_pair",
     "pad",
     "pair_type",
     "parse_pattern",

@@ -9,6 +9,10 @@ When errors sit too close together, a matched filler word can be spliced
 into both sequences at a cut that no matched pair crosses; this pulls the
 errors apart while preserving the adjacency-count difference exactly and
 embedding the old profile difference into the new one as a subsequence.
+Separation state holds the two words themselves; a cut builds the longer
+words by slicing and concatenation, so each round's words are the next
+round's "before" words.  Only alignments from outside are checked:
+``separate_errors`` trusts the one ``find_relation`` just built.
 
 The relation of a pair comes from one suffix-cost table for every shape.
 Its cell (i, j, a) is reached after consuming i symbols of x and j of y
@@ -138,45 +142,6 @@ def _merge_ops(pairs, subs, dels_u: list[int], dels_v: list[int]) -> Alignment:
     return Alignment(tuple(ops))
 
 
-def _split_positions(u, v, positions, s, r):
-    if len(u) != len(v):
-        raise ValueError("words of a pair must have equal length")
-    positions = tuple(positions)
-    if len(positions) != 2 * s + 2 * r:
-        raise ValueError(f"expected {2 * s + 2 * r} positions, got {len(positions)}")
-    n = len(u)
-    for p in positions:
-        if not 2 <= p <= n - 1:
-            raise ValueError(f"position {p} outside the interior [2, {n - 1}]")
-    dels_u = positions[:s]
-    subs_u = positions[s : s + 2 * r]
-    dels_v = positions[s + 2 * r :]
-    if len(set(dels_u) | set(subs_u)) != s + 2 * r:
-        raise ValueError("U-side positions must be distinct")
-    if len(set(dels_v)) != s:
-        raise ValueError("V-side positions must be distinct")
-    return dels_u, subs_u, dels_v
-
-
-def is_good_pair(u: Word, v: Word, positions, s: int, r: int) -> bool:
-    """True iff the positions are pairwise at distance >= 2s+1 and deleting /
-    substituting U at them matches V with its own deletions removed."""
-    dels_u, subs_u, dels_v = _split_positions(u, v, positions, s, r)
-    values = sorted(positions)
-    for a, b in zip(values, values[1:]):
-        if b - a < 2 * s + 1:
-            return False
-    sub_set = set(subs_u)
-    del_u_set = set(dels_u)
-    del_v_set = set(dels_v)
-    kept_u = [p for p in range(1, len(u) + 1) if p not in del_u_set]
-    kept_v = [p for p in range(1, len(v) + 1) if p not in del_v_set]
-    for a, b in zip(kept_u, kept_v):
-        if a not in sub_set and u[a - 1] != v[b - 1]:
-            return False
-    return True
-
-
 def _f2(a: int, b: int) -> int:
     return int(a != b)
 
@@ -250,29 +215,20 @@ def pair_type(u: Word, v: Word, alignment: Alignment) -> tuple[tuple[str, ...], 
 
 
 class _PairState:
-    """Mutable view of a word pair, its matching, and its error positions."""
+    """A word pair, its matching, and its error positions.
+
+    The alignment must already be known monotone (checked, or built by
+    ``find_relation``), so its position lists arrive sorted."""
 
     __slots__ = ("x", "y", "pairs", "subs", "dels_u", "dels_v")
 
-    def __init__(self, x, y, pairs, subs, dels_u, dels_v):
-        self.x = list(x)
-        self.y = list(y)
-        self.pairs = sorted(pairs)
-        self.subs = sorted(subs)
-        self.dels_u = sorted(dels_u)
-        self.dels_v = sorted(dels_v)
-
-    @classmethod
-    def from_alignment(cls, u: Word, v: Word, alignment: Alignment) -> "_PairState":
-        check_alignment(u, v, alignment)
-        return cls(
-            u,
-            v,
-            alignment.matched_pairs(),
-            alignment.sub_positions(),
-            alignment.dels_u(),
-            alignment.dels_v(),
-        )
+    def __init__(self, x: Word, y: Word, alignment: Alignment):
+        self.x = x
+        self.y = y
+        self.pairs = alignment.matched_pairs()
+        self.subs = alignment.sub_positions()
+        self.dels_u = alignment.dels_u()
+        self.dels_v = alignment.dels_v()
 
     def alignment(self) -> Alignment:
         return _merge_ops(self.pairs, self.subs, self.dels_u, self.dels_v)
@@ -290,19 +246,19 @@ class _PairState:
             return False
         return all((a <= i and b <= j) or (a > i and b > j) for a, b in self.pairs)
 
-    def filler(self, i: int, j: int) -> list[int]:
+    def filler(self, i: int, j: int) -> Word:
         x, y = self.x, self.y
         if i == j:
-            return _meet_filler(x[i - 1], x[i], y[i - 1], y[i])
+            return Word(_meet_filler(x[i - 1], x[i], y[i - 1], y[i]))
         if i < j:
-            return x[i:j] + [y[j - 1]]
-        return y[j:i] + [x[i - 1]]
+            return x[i:j] + y[j - 1 : j]
+        return y[j:i] + x[i - 1 : i]
 
-    def apply_cut(self, i: int, j: int) -> list[int]:
+    def apply_cut(self, i: int, j: int) -> Word:
         z = self.filler(i, j)
         length = len(z)
-        self.x[i:i] = z
-        self.y[j:j] = z
+        self.x = self.x[:i] + z + self.x[i:]
+        self.y = self.y[:j] + z + self.y[j:]
         shifted = [(a + length if a > i else a, b + length if b > j else b) for a, b in self.pairs]
         shifted.extend((i + t, j + t) for t in range(1, length + 1))
         self.pairs = sorted(shifted)
@@ -330,12 +286,13 @@ def segment_once(x: Word, y: Word, alignment: Alignment, cut: tuple[int, int]) -
     The cut (i, j) inserts after position i of ``x`` and after position j of
     ``y``; it is rejected unless every matched pair lies entirely on one side.
     """
-    state = _PairState.from_alignment(x, y, alignment)
+    check_alignment(x, y, alignment)
+    state = _PairState(x, y, alignment)
     i, j = cut
     if not state.cut_ok(i, j):
         raise SeparationError(f"cut ({i}, {j}) crosses a matched pair or is out of range")
     state.apply_cut(i, j)
-    return Word(state.x), Word(state.y)
+    return state.x, state.y
 
 
 # --- canonical alignment search -------------------------------------------
@@ -534,7 +491,7 @@ def _next_cut(state: _PairState, k: int):
             return cut
     if saw_violation:
         raise SeparationError(
-            f"no matched cut separates errors {errors} in {Word(state.x)} / {Word(state.y)}"
+            f"no matched cut separates errors {errors} in {state.x} / {state.y}"
         )
     return None
 
@@ -558,7 +515,7 @@ def separate_errors(
         raise ValueError("words must have equal length")
     big_x, big_y = pad(x), pad(y)
     s, r, alignment = find_relation(big_x, big_y, s, r)
-    state = _PairState.from_alignment(big_x, big_y, alignment)
+    state = _PairState(big_x, big_y, alignment)
     budget = 4 * k if round_budget is None else round_budget
     rounds: list[SegmentationRound] = []
     while True:
@@ -567,14 +524,12 @@ def separate_errors(
             break
         if len(rounds) >= budget:
             raise RoundBudgetError(f"separation exceeded the budget of {budget} rounds")
-        x_before, y_before = Word(state.x), Word(state.y)
+        x_before, y_before = state.x, state.y
         z = state.apply_cut(*cut)
-        rounds.append(
-            SegmentationRound(x_before, y_before, cut, Word(z), Word(state.x), Word(state.y))
-        )
+        rounds.append(SegmentationRound(x_before, y_before, cut, z, state.x, state.y))
     return Separation(
-        u=Word(state.x),
-        v=Word(state.y),
+        u=state.x,
+        v=state.y,
         s=s,
         r=r,
         dels_u=tuple(state.dels_u),

@@ -91,7 +91,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise ValueError(f"--top must be at least 0, got {args.top}")
-    code.check_workers(args.workers)
     census = code.bucket_census(args.n, args.enum_cap)
     for rank, (st, count) in enumerate(census.top(args.top), 1):
         human = f"#{rank}: count={count} {st.to_kv()}"
@@ -116,7 +115,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_params(args: argparse.Namespace) -> int:
-    code.check_workers(args.workers)
     p, count = code.best_params(args.n, args.enum_cap)
     r = f"{code.redundancy(p, size=count):.6f}"
     human = f"best class at n={args.n}: {p.residues.to_kv()} count={count} redundancy={r}"
@@ -230,10 +228,12 @@ def _classify(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
     if budget is None and os.environ.get(ROUND_BUDGET_ENV):
         budget = int(os.environ[ROUND_BUDGET_ENV])
     sep = analysis.separate_errors(x, y, args.k, budget)
-    for e in analysis.classify_errors(sep.u, sep.v, sep.alignment):
+    classified = analysis.classify_errors(sep.u, sep.v, sep.alignment)
+    for e in classified:
         human = f"position {e.position}: {e.kind} value {e.value:+d}"
         _emit(args, "classified", human, position=e.position, kind=e.kind, value=e.value)
-    kinds, values = analysis.pair_type(sep.u, sep.v, sep.alignment)
+    kinds = [e.kind for e in classified]
+    values = [e.value for e in classified]
     _emit(
         args,
         "pair-type",
@@ -331,14 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(subs, "census", _cmd_census, "syndrome class sizes over the whole space")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--top", type=int, default=5, help="how many classes to list")
-    # census and best-params run in one process; --workers is still accepted
-    # and checked there, so existing command lines keep working
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
     p = _add_command(subs, "best-params", _cmd_best_params, "parameters of the largest class")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
     p = _add_command(

@@ -330,18 +330,14 @@ def _distance_shard(args: tuple[int, list[tuple[tuple[int, ...], list[int]]]]):
     return pairs, min_distance, violations
 
 
-def check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-
-
 def scan_pairwise_distance(
     n: int, mode: str = MODE_BUCKET, workers: int = 1, cap: int | None = None
 ) -> SweepReport:
     """Check the distance >= 5 requirement in every group; worker-count
     independent by construction (groups are split deterministically and the
     merge is associative)."""
-    check_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     groups, items = _shared_classes(n, mode, cap)
     if workers == 1 or len(items) < 2:
         shards = [_distance_shard((n, items))]

@@ -14,9 +14,15 @@ from twoedit.analysis import (
     _RELATION_ORDER,
     Alignment,
     NoRelationError,
+    RoundBudgetError,
+    SegmentationRound,
+    Separation,
+    SeparationError,
+    _meet_filler,
     _merge_ops,
-    _split_positions,
     _with_trivial_fills,
+    check_alignment,
+    find_relation,
 )
 from twoedit.channel import ErrorPattern, apply_errors, random_pattern
 from twoedit.code import MODE_EXACT, DistanceViolation, SweepReport
@@ -139,6 +145,45 @@ def invert(z):
 def write_words(words) -> str:
     """Serialize words one per line, newline-terminated."""
     return "".join(f"{w}\n" for w in words)
+
+
+def _split_positions(u, v, positions, s, r):
+    if len(u) != len(v):
+        raise ValueError("words of a pair must have equal length")
+    positions = tuple(positions)
+    if len(positions) != 2 * s + 2 * r:
+        raise ValueError(f"expected {2 * s + 2 * r} positions, got {len(positions)}")
+    n = len(u)
+    for p in positions:
+        if not 2 <= p <= n - 1:
+            raise ValueError(f"position {p} outside the interior [2, {n - 1}]")
+    dels_u = positions[:s]
+    subs_u = positions[s : s + 2 * r]
+    dels_v = positions[s + 2 * r :]
+    if len(set(dels_u) | set(subs_u)) != s + 2 * r:
+        raise ValueError("U-side positions must be distinct")
+    if len(set(dels_v)) != s:
+        raise ValueError("V-side positions must be distinct")
+    return dels_u, subs_u, dels_v
+
+
+def is_good_pair(u: Word, v: Word, positions, s: int, r: int) -> bool:
+    """True iff the positions are pairwise at distance >= 2s+1 and deleting /
+    substituting U at them matches V with its own deletions removed."""
+    dels_u, subs_u, dels_v = _split_positions(u, v, positions, s, r)
+    values = sorted(positions)
+    for a, b in zip(values, values[1:]):
+        if b - a < 2 * s + 1:
+            return False
+    sub_set = set(subs_u)
+    del_u_set = set(dels_u)
+    del_v_set = set(dels_v)
+    kept_u = [p for p in range(1, len(u) + 1) if p not in del_u_set]
+    kept_v = [p for p in range(1, len(v) + 1) if p not in del_v_set]
+    for a, b in zip(kept_u, kept_v):
+        if a not in sub_set and u[a - 1] != v[b - 1]:
+            return False
+    return True
 
 
 def alignment_from_positions(
@@ -468,4 +513,157 @@ def find_relation_per_shape(
     shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"
     raise NoRelationError(
         f"no relation{shape} with at most two deletions+substitutions joins {x} and {y}"
+    )
+
+# --- separation on int lists ------------------------------------------------
+# The reference for analysis.separate_errors: the state copies both words into
+# int lists, re-checks find_relation's alignment, and builds Words per round.
+
+
+class _ListPairState:
+    """Mutable view of a word pair, its matching, and its error positions."""
+
+    __slots__ = ("x", "y", "pairs", "subs", "dels_u", "dels_v")
+
+    def __init__(self, x, y, pairs, subs, dels_u, dels_v):
+        self.x = list(x)
+        self.y = list(y)
+        self.pairs = sorted(pairs)
+        self.subs = sorted(subs)
+        self.dels_u = sorted(dels_u)
+        self.dels_v = sorted(dels_v)
+
+    @classmethod
+    def from_alignment(cls, u: Word, v: Word, alignment: Alignment) -> "_ListPairState":
+        check_alignment(u, v, alignment)
+        return cls(
+            u,
+            v,
+            alignment.matched_pairs(),
+            alignment.sub_positions(),
+            alignment.dels_u(),
+            alignment.dels_v(),
+        )
+
+    def alignment(self) -> Alignment:
+        return _merge_ops(self.pairs, self.subs, self.dels_u, self.dels_v)
+
+    def error_entries(self) -> list[tuple[int, str]]:
+        """Error positions tagged by owning side, sorted by (position, side)."""
+        return sorted(
+            [(p, "u") for p in self.dels_u]
+            + [(p, "u") for p in self.subs]
+            + [(p, "v") for p in self.dels_v]
+        )
+
+    def cut_ok(self, i: int, j: int) -> bool:
+        if not (1 <= i <= len(self.x) - 1 and 1 <= j <= len(self.y) - 1):
+            return False
+        return all((a <= i and b <= j) or (a > i and b > j) for a, b in self.pairs)
+
+    def filler(self, i: int, j: int) -> list[int]:
+        x, y = self.x, self.y
+        if i == j:
+            return _meet_filler(x[i - 1], x[i], y[i - 1], y[i])
+        if i < j:
+            return x[i:j] + [y[j - 1]]
+        return y[j:i] + [x[i - 1]]
+
+    def apply_cut(self, i: int, j: int) -> list[int]:
+        z = self.filler(i, j)
+        length = len(z)
+        self.x[i:i] = z
+        self.y[j:j] = z
+        shifted = [(a + length if a > i else a, b + length if b > j else b) for a, b in self.pairs]
+        shifted.extend((i + t, j + t) for t in range(1, length + 1))
+        self.pairs = sorted(shifted)
+        self.subs = [p + length if p > i else p for p in self.subs]
+        self.dels_u = [p + length if p > i else p for p in self.dels_u]
+        self.dels_v = [p + length if p > j else p for p in self.dels_v]
+        return z
+
+
+def _list_find_cut(state: _ListPairState, errors, m: int):
+    """A cut keeping errors[:m] in place and shifting errors[m:], or None."""
+    left, right = errors[:m], errors[m:]
+    big = len(state.x)
+    i_lo = max([p for p, side in left if side == "u"], default=1)
+    i_hi = min([p for p, side in right if side == "u"], default=big) - 1
+    j_lo = max([p for p, side in left if side == "v"], default=1)
+    j_hi = min([p for p, side in right if side == "v"], default=big) - 1
+    if i_lo > i_hi or j_lo > j_hi:
+        return None
+    for (a1, b1), (a2, b2) in zip(state.pairs, state.pairs[1:]):
+        i = max(a1, i_lo)
+        j = max(b1, j_lo)
+        if i <= min(a2 - 1, i_hi) and j <= min(b2 - 1, j_hi):
+            return i, j
+    return None
+
+
+def _list_next_cut(state: _ListPairState, k: int):
+    """Cut widening the leftmost too-narrow gap between adjacent errors."""
+    errors = state.error_entries()
+    saw_violation = False
+    for m in range(1, len(errors)):
+        gap = errors[m][0] - errors[m - 1][0]
+        if gap >= k:
+            continue
+        saw_violation = True
+        cut = _list_find_cut(state, errors, m)
+        if cut is None and errors[m - 1][0] == errors[m][0]:
+            swapped = errors[:m - 1] + [errors[m], errors[m - 1]] + errors[m + 1 :]
+            cut = _list_find_cut(state, swapped, m)
+        if cut is not None:
+            return cut
+    if saw_violation:
+        raise SeparationError(
+            f"no matched cut separates errors {errors} in {Word(state.x)} / {Word(state.y)}"
+        )
+    return None
+
+
+def separate_errors_lists(
+    x: Word,
+    y: Word,
+    k: int,
+    round_budget: int | None = None,
+    s: int | None = None,
+    r: int | None = None,
+) -> Separation:
+    """Pad ``x`` and ``y``, find their smallest deletion/substitution
+    relation (or the pinned one), and splice fillers until all error
+    positions are pairwise at distance >= k.  Each round preserves the
+    adjacency-count difference and never decreases the sign-preserving number
+    of the profile difference."""
+    if k < 1:
+        raise ValueError("separation distance must be at least 1")
+    if len(x) != len(y):
+        raise ValueError("words must have equal length")
+    big_x, big_y = pad(x), pad(y)
+    s, r, alignment = find_relation(big_x, big_y, s, r)
+    state = _ListPairState.from_alignment(big_x, big_y, alignment)
+    budget = 4 * k if round_budget is None else round_budget
+    rounds: list[SegmentationRound] = []
+    while True:
+        cut = _list_next_cut(state, k)
+        if cut is None:
+            break
+        if len(rounds) >= budget:
+            raise RoundBudgetError(f"separation exceeded the budget of {budget} rounds")
+        x_before, y_before = Word(state.x), Word(state.y)
+        z = state.apply_cut(*cut)
+        rounds.append(
+            SegmentationRound(x_before, y_before, cut, Word(z), Word(state.x), Word(state.y))
+        )
+    return Separation(
+        u=Word(state.x),
+        v=Word(state.y),
+        s=s,
+        r=r,
+        dels_u=tuple(state.dels_u),
+        subs_u=tuple(state.subs),
+        dels_v=tuple(state.dels_v),
+        alignment=state.alignment(),
+        rounds=tuple(rounds),
     )

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
-from oracles import alignment_from_positions
+from oracles import alignment_from_positions, is_good_pair
 from twoedit import analysis
 from twoedit.analysis import (
     Alignment,
@@ -20,7 +20,6 @@ from twoedit.analysis import (
     check_alignment,
     classify_errors,
     find_relation,
-    is_good_pair,
     pair_type,
     segment_once,
     separate_errors,
@@ -146,6 +145,19 @@ def test_segment_once_rejects_crossing_cut():
         segment_once(x, y, al, (0, 0))
 
 
+def test_segment_once_checks_an_outside_alignment():
+    x, y = Word("00010"), Word("01110")
+    _, _, al = find_relation(x, y, s=2, r=0)
+    malformed = (
+        Alignment(al.ops[1:]),  # drops the first pair
+        Alignment((("match", 1, 1),) + tuple(("match", p, p) for p in range(2, 6))),
+        Alignment(tuple(reversed(al.ops))),
+    )
+    for bad in malformed:
+        with pytest.raises(AlignmentError):
+            segment_once(x, y, bad, (4, 2))
+
+
 def test_segment_once_identity_cut_symmetry():
     x = Word("001100")
     _, _, al = find_relation(x, x)
@@ -248,6 +260,51 @@ def test_find_relation_builds_one_table_per_call(monkeypatch):
     monkeypatch.setattr(analysis, "find_relation", lambda *a: calls.append(a) or search(*a))
     separate_errors(Word("00011000"), Word("01100110"), 5)
     assert len(calls) == 1
+
+
+def _separation_outcome(separate, x, y, k=5):
+    try:
+        return separate(x, y, k)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_separate_errors_matches_the_list_state_exhaustive(n):
+    words = [Word.from_int(v, n) for v in range(1 << n)]
+    for x, y in product(words, repeat=2):
+        if edit_distance(x, y) <= 4:
+            expected = _separation_outcome(oracles.separate_errors_lists, x, y)
+            assert _separation_outcome(separate_errors, x, y) == expected, (x, y)
+
+
+@pytest.mark.parametrize("n", (12, 24, 48))
+def test_separate_errors_matches_the_list_state_on_random_pairs(n):
+    rng = random.Random(700 + n)
+    for _ in range(200):
+        x, y = oracles.random_confusable_pair(rng, n)
+        assert separate_errors(x, y, 5) == oracles.separate_errors_lists(x, y, 5), (x, y)
+
+
+def test_separate_errors_trusts_its_own_alignment(monkeypatch):
+    calls = []
+    check = analysis.check_alignment
+    monkeypatch.setattr(analysis, "check_alignment", lambda *a: calls.append(a) or check(*a))
+    sep = separate_errors(Word("00011000"), Word("01100110"), 5)
+    assert sep.rounds and calls == []
+
+
+def test_rounds_chain_their_words():
+    rng = random.Random(61)
+    chained = 0
+    for _ in range(50):
+        sep = separate_errors(*oracles.random_confusable_pair(rng, 12), 5)
+        for before, after in zip(sep.rounds, sep.rounds[1:]):
+            assert after.x_before is before.x_after and after.y_before is before.y_after
+            chained += 1
+        if sep.rounds:
+            assert sep.u is sep.rounds[-1].x_after and sep.v is sep.rounds[-1].y_after
+    assert chained
 
 
 def test_separate_errors_zero_rounds_cases():

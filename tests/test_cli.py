@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from twoedit import analysis
 from twoedit.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -130,12 +131,6 @@ def test_verify_output_identical_across_workers(capsys):
     assert seq_h == par_h
 
 
-def test_census_output_identical_across_workers(capsys):
-    _, seq, _ = run_cli(capsys, "census", "--n", "11", "--machine")
-    _, par, _ = run_cli(capsys, "census", "--n", "11", "--workers", "4", "--machine")
-    assert seq == par
-
-
 def test_analyze_sigma(capsys):
     status, out, _ = run_cli(capsys, "analyze", "sigma", "--vector", "1,0,1,-1,-2,3", "--machine")
     assert status == EXIT_OK
@@ -154,6 +149,16 @@ def test_analyze_classify(capsys):
     assert lines[-1].startswith("record=pair-type")
     assert "kinds=sub,sub" in lines[-1]
     assert "values=-2,2" in lines[-1]
+
+
+def test_analyze_classify_classifies_once(capsys, monkeypatch):
+    calls = []
+    classify = analysis.classify_errors
+    monkeypatch.setattr(analysis, "classify_errors", lambda *a: calls.append(a) or classify(*a))
+    argv = ("analyze", "classify", "--x", "0001011", "--y", "0110001", "--machine")
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_OK and "record=pair-type" in out
+    assert len(calls) == 1
 
 
 def test_analyze_segment_worked_example(capsys):
@@ -304,7 +309,7 @@ def test_sigma_rejects_words_of_unequal_length(capsys):
     assert status == EXIT_USAGE and out == "" and "equal length" in err
 
 
-@pytest.mark.parametrize("command", ("census", "best-params", "verify"))
+@pytest.mark.parametrize("command", ("verify",))
 def test_workers_below_one_are_rejected(capsys, command):
     status, out, err = run_cli(capsys, command, "--n", "7", "--workers", "0", "--machine")
     assert status == EXIT_USAGE and out == "" and "workers" in err
