@@ -9,8 +9,13 @@ When errors sit too close together, a matched filler word can be spliced
 into both sequences at a cut that no matched pair crosses; this pulls the
 errors apart while preserving the adjacency-count difference exactly and
 embedding the old profile difference into the new one as a subsequence.
-Separation state holds the two words themselves; a cut builds the longer
-words by slicing and concatenation, so each round's words are the next
+Separation state holds the two words and the sorted error positions (U
+deletions, substitutions, V deletions); the matching is implied, since the
+t-th undeleted position of U is matched to the t-th undeleted one of V.  So
+a cut (i, j) crosses no matched pair exactly when as many matched positions
+of U lie at or before i as of V at or before j, and both counts and the
+cut search cost O(#errors), not O(n).  A cut splices the filler into both
+packed words with shifts and masks, so each round's words are the next
 round's "before" words.  Only alignments from outside are checked:
 ``separate_errors`` trusts the one ``find_relation`` just built.
 
@@ -27,6 +32,7 @@ patterns and reports.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .words import Word, pad
@@ -99,6 +105,7 @@ def check_alignment(u: Word, v: Word, alignment: Alignment) -> None:
     exactly once each, in order, with equal symbols on plain matches."""
     if len(u) != len(v):
         raise AlignmentError("aligned words must have equal length")
+    su, sv = str(u), str(v)
     next_u = next_v = 1
     for op in alignment.ops:
         kind = op[0]
@@ -106,7 +113,8 @@ def check_alignment(u: Word, v: Word, alignment: Alignment) -> None:
             _, a, b = op
             if a != next_u or b != next_v:
                 raise AlignmentError(f"op {op} breaks monotone consumption")
-            if kind == "match" and u[a - 1] != v[b - 1]:
+            # a slice past the end is empty, and the length check below fails
+            if kind == "match" and su[a - 1 : a] != sv[b - 1 : b]:
                 raise AlignmentError(f"match at ({a}, {b}) joins unequal symbols")
             next_u += 1
             next_v += 1
@@ -142,11 +150,27 @@ def _merge_ops(pairs, subs, dels_u: list[int], dels_v: list[int]) -> Alignment:
     return Alignment(tuple(ops))
 
 
-def _f2(a: int, b: int) -> int:
+def _rank(p: int, dels: list[int]) -> int:
+    """Matched positions at or before position ``p`` of a side whose sorted
+    deletions are ``dels``."""
+    return p - bisect_right(dels, p)
+
+
+def _kth(k: int, dels: list[int]) -> int:
+    """Position of the k-th matched (undeleted) symbol of a side whose sorted
+    deletions are ``dels``."""
+    for d in dels:
+        if d > k:
+            break
+        k += 1
+    return k
+
+
+def _f2(a: str, b: str) -> int:
     return int(a != b)
 
 
-def _f3(a: int, b: int, c: int) -> int:
+def _f3(a: str, b: str, c: str) -> int:
     return int(a != b) + int(b != c)
 
 
@@ -177,14 +201,15 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
                 f"error positions {a} and {b} are closer than {2 * s + 1}; windows overlap"
             )
     n = len(u)
-    u_to_v = dict(alignment.matched_pairs())
+    su, sv = str(u), str(v)
     del_u_set = set(dels_u)
     del_v_set = set(dels_v)
 
-    def tau_u(p: int) -> int:
+    def tau_u(p: int) -> str:
+        """The V symbol matched to U position ``p``."""
         if p in del_u_set:
             raise SeparationError(f"U position {p} adjoins an error but is deleted")
-        return v[u_to_v[p] - 1]
+        return sv[_kth(_rank(p, dels_u), dels_v) - 1]
 
     out = []
     for p, kind in entries:
@@ -192,15 +217,15 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
             raise SeparationError(f"error position {p} outside the interior [2, {n - 1}]")
         if kind == SUB:
             left = tau_u(p - 1)
-            e = _f3(left, u[p - 1], u[p]) - _f3(left, tau_u(p), u[p])
+            e = _f3(left, su[p - 1], su[p]) - _f3(left, tau_u(p), su[p])
         elif kind == DEL_OVER:
             if p - 1 in del_u_set or p + 1 in del_u_set:
                 raise SeparationError(f"deletion at U position {p} has a deleted neighbour")
-            e = _f3(u[p - 2], u[p - 1], u[p]) - _f2(u[p - 2], u[p])
+            e = _f3(su[p - 2], su[p - 1], su[p]) - _f2(su[p - 2], su[p])
         else:
             if p - 1 in del_v_set or p + 1 in del_v_set:
                 raise SeparationError(f"deletion at V position {p} has a deleted neighbour")
-            e = _f2(v[p - 2], v[p]) - _f3(v[p - 2], v[p - 1], v[p])
+            e = _f2(sv[p - 2], sv[p]) - _f3(sv[p - 2], sv[p - 1], sv[p])
         out.append(ErrorTypeValue(kind, e, p))
     return out
 
@@ -215,23 +240,26 @@ def pair_type(u: Word, v: Word, alignment: Alignment) -> tuple[tuple[str, ...], 
 
 
 class _PairState:
-    """A word pair, its matching, and its error positions.
+    """A word pair and its error positions; the t-th undeleted position of
+    ``x`` is matched to the t-th undeleted one of ``y``.
 
     The alignment must already be known monotone (checked, or built by
     ``find_relation``), so its position lists arrive sorted."""
 
-    __slots__ = ("x", "y", "pairs", "subs", "dels_u", "dels_v")
+    __slots__ = ("x", "y", "subs", "dels_u", "dels_v")
 
     def __init__(self, x: Word, y: Word, alignment: Alignment):
         self.x = x
         self.y = y
-        self.pairs = alignment.matched_pairs()
         self.subs = alignment.sub_positions()
         self.dels_u = alignment.dels_u()
         self.dels_v = alignment.dels_v()
 
     def alignment(self) -> Alignment:
-        return _merge_ops(self.pairs, self.subs, self.dels_u, self.dels_v)
+        n = len(self.x)
+        kept_u = [p for p in range(1, n + 1) if p not in self.dels_u]
+        kept_v = [p for p in range(1, n + 1) if p not in self.dels_v]
+        return _merge_ops(zip(kept_u, kept_v), self.subs, self.dels_u, self.dels_v)
 
     def error_entries(self) -> list[tuple[int, str]]:
         """Error positions tagged by owning side, sorted by (position, side)."""
@@ -242,30 +270,41 @@ class _PairState:
         )
 
     def cut_ok(self, i: int, j: int) -> bool:
+        """No matched pair crosses the cut: as many lie at or before i in U
+        as at or before j in V."""
         if not (1 <= i <= len(self.x) - 1 and 1 <= j <= len(self.y) - 1):
             return False
-        return all((a <= i and b <= j) or (a > i and b > j) for a, b in self.pairs)
+        return _rank(i, self.dels_u) == _rank(j, self.dels_v)
 
-    def filler(self, i: int, j: int) -> Word:
-        x, y = self.x, self.y
+    def filler(self, i: int, j: int) -> tuple[int, int]:
+        """Packed value and length of the filler for the cut (i, j)."""
+        n = len(self.x)
+        xv, yv = self.x.value, self.y.value
         if i == j:
-            return Word(_meet_filler(x[i - 1], x[i], y[i - 1], y[i]))
-        if i < j:
-            return x[i:j] + y[j - 1 : j]
-        return y[j:i] + x[i - 1 : i]
+            xt, yt = xv >> (n - i - 1), yv >> (n - i - 1)  # x[i - 1] x[i] are the low 2 bits
+            z = _meet_filler((xt >> 1) & 1, xt & 1, (yt >> 1) & 1, yt & 1)
+            return (z[0] << 1) | z[1], 2
+        if i < j:  # x[i:j] + y[j - 1]
+            t, width, body, last = n - j, j - i, xv, yv
+        else:  # y[j:i] + x[i - 1]
+            t, width, body, last = n - i, i - j, yv, xv
+        return (((body >> t) & ((1 << width) - 1)) << 1) | ((last >> t) & 1), width + 1
 
     def apply_cut(self, i: int, j: int) -> Word:
-        z = self.filler(i, j)
-        length = len(z)
-        self.x = self.x[:i] + z + self.x[i:]
-        self.y = self.y[:j] + z + self.y[j:]
-        shifted = [(a + length if a > i else a, b + length if b > j else b) for a, b in self.pairs]
-        shifted.extend((i + t, j + t) for t in range(1, length + 1))
-        self.pairs = sorted(shifted)
+        zv, length = self.filler(i, j)
+        n = len(self.x)
+        self.x = Word.from_int(_splice(self.x.value, n - i, zv, length), n + length)
+        self.y = Word.from_int(_splice(self.y.value, n - j, zv, length), n + length)
         self.subs = [p + length if p > i else p for p in self.subs]
         self.dels_u = [p + length if p > i else p for p in self.dels_u]
         self.dels_v = [p + length if p > j else p for p in self.dels_v]
-        return z
+        return Word.from_int(zv, length)
+
+
+def _splice(value: int, tail: int, zv: int, length: int) -> int:
+    """Insert the ``length``-bit ``zv`` into a packed word before its last
+    ``tail`` symbols."""
+    return (((value >> tail) << length | zv) << tail) | (value & ((1 << tail) - 1))
 
 
 def _meet_filler(xi: int, xi1: int, yi: int, yi1: int) -> list[int]:
@@ -457,21 +496,29 @@ class Separation:
 
 
 def _find_cut(state: _PairState, errors, m: int):
-    """A cut keeping errors[:m] in place and shifting errors[m:], or None."""
-    left, right = errors[:m], errors[m:]
+    """A cut keeping errors[:m] in place and shifting errors[m:], or None.
+
+    With (a_k, b_k) the k-th matched pair, the cut is (max(a_k, i_lo),
+    max(b_k, j_lo)) for the smallest k that puts i_lo and j_lo before the
+    (k+1)-th pair and the k-th pair at or before i_hi and j_hi."""
     big = len(state.x)
-    i_lo = max([p for p, side in left if side == "u"], default=1)
-    i_hi = min([p for p, side in right if side == "u"], default=big) - 1
-    j_lo = max([p for p, side in left if side == "v"], default=1)
-    j_hi = min([p for p, side in right if side == "v"], default=big) - 1
+    lo = {"u": 1, "v": 1}
+    hi = {"u": big, "v": big}
+    for p, side in errors[:m]:
+        if p > lo[side]:
+            lo[side] = p
+    for p, side in errors[m:]:
+        if p < hi[side]:
+            hi[side] = p
+    i_lo, j_lo = lo["u"], lo["v"]
+    i_hi, j_hi = hi["u"] - 1, hi["v"] - 1
     if i_lo > i_hi or j_lo > j_hi:
         return None
-    for (a1, b1), (a2, b2) in zip(state.pairs, state.pairs[1:]):
-        i = max(a1, i_lo)
-        j = max(b1, j_lo)
-        if i <= min(a2 - 1, i_hi) and j <= min(b2 - 1, j_hi):
-            return i, j
-    return None
+    dels_u, dels_v = state.dels_u, state.dels_v
+    k = max(1, _rank(i_lo, dels_u), _rank(j_lo, dels_v))
+    if k > min(big - len(dels_u) - 1, _rank(i_hi, dels_u), _rank(j_hi, dels_v)):
+        return None
+    return max(_kth(k, dels_u), i_lo), max(_kth(k, dels_v), j_lo)
 
 
 def _next_cut(state: _PairState, k: int):
@@ -513,6 +560,8 @@ def separate_errors(
         raise ValueError("separation distance must be at least 1")
     if len(x) != len(y):
         raise ValueError("words must have equal length")
+    if round_budget is not None and round_budget < 0:
+        raise ValueError(f"round budget must be at least 0, got {round_budget}")
     big_x, big_y = pad(x), pad(y)
     s, r, alignment = find_relation(big_x, big_y, s, r)
     state = _PairState(big_x, big_y, alignment)

@@ -346,7 +346,9 @@ def scan_pairwise_distance(
         tasks = [(n, items[i : i + chunk]) for i in range(0, len(items), chunk)]
         import multiprocessing  # here, so that importing the CLI does not load it
 
-        with multiprocessing.Pool(len(tasks)) as pool:  # at most `workers` tasks
+        # the shards stay as `workers` asks, so the output does not depend on
+        # how many of them run at once
+        with multiprocessing.Pool(min(len(tasks), os.cpu_count() or 1)) as pool:
             shards = pool.map(_distance_shard, tasks)
     pairs = sum(s[0] for s in shards)
     mins = [s[1] for s in shards if s[1] is not None]

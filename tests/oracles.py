@@ -12,16 +12,19 @@ from typing import Sequence
 
 from twoedit.analysis import (
     _RELATION_ORDER,
+    DEL_OVER,
+    DEL_UNDER,
+    SUB,
     Alignment,
+    AlignmentError,
+    ErrorTypeValue,
     NoRelationError,
     RoundBudgetError,
     SegmentationRound,
     Separation,
     SeparationError,
     _meet_filler,
-    _merge_ops,
     _with_trivial_fills,
-    check_alignment,
     find_relation,
 )
 from twoedit.channel import ErrorPattern, apply_errors, random_pattern
@@ -184,6 +187,117 @@ def is_good_pair(u: Word, v: Word, positions, s: int, r: int) -> bool:
         if a not in sub_set and u[a - 1] != v[b - 1]:
             return False
     return True
+
+
+# --- alignment check, merge and classification by per-op Word reads --------
+# The reference for analysis.check_alignment, classify_errors and the
+# alignment a separation ends with: symbols are read one at a time through
+# Word.__getitem__, and the matching is an explicit list or dict of pairs.
+
+
+def check_alignment(u: Word, v: Word, alignment: Alignment) -> None:
+    """Raise AlignmentError unless the alignment consumes ``u`` and ``v``
+    exactly once each, in order, with equal symbols on plain matches."""
+    if len(u) != len(v):
+        raise AlignmentError("aligned words must have equal length")
+    next_u = next_v = 1
+    for op in alignment.ops:
+        kind = op[0]
+        if kind in ("match", "sub"):
+            _, a, b = op
+            if a != next_u or b != next_v:
+                raise AlignmentError(f"op {op} breaks monotone consumption")
+            if kind == "match" and u[a - 1] != v[b - 1]:
+                raise AlignmentError(f"match at ({a}, {b}) joins unequal symbols")
+            next_u += 1
+            next_v += 1
+        elif kind == "del_u":
+            if op[1] != next_u:
+                raise AlignmentError(f"op {op} breaks monotone consumption")
+            next_u += 1
+        elif kind == "del_v":
+            if op[1] != next_v:
+                raise AlignmentError(f"op {op} breaks monotone consumption")
+            next_v += 1
+        else:
+            raise AlignmentError(f"unknown op kind {kind!r}")
+    if next_u != len(u) + 1 or next_v != len(v) + 1:
+        raise AlignmentError("alignment does not consume both words exactly")
+
+
+def _merge_ops(pairs, subs, dels_u: list[int], dels_v: list[int]) -> Alignment:
+    """Alignment of matched ``pairs`` in order, each preceded by the sorted
+    deletions that come before it; a pair whose U position is in ``subs`` is
+    a substitution."""
+    sub_set = set(subs)
+    ops: list[tuple] = []
+    du = dv = 0
+    for a, b in pairs:
+        while du < len(dels_u) and dels_u[du] < a:
+            ops.append(("del_u", dels_u[du]))
+            du += 1
+        while dv < len(dels_v) and dels_v[dv] < b:
+            ops.append(("del_v", dels_v[dv]))
+            dv += 1
+        ops.append(("sub" if a in sub_set else "match", a, b))
+    return Alignment(tuple(ops))
+
+
+def _f2(a: int, b: int) -> int:
+    return int(a != b)
+
+
+def _f3(a: int, b: int, c: int) -> int:
+    return int(a != b) + int(b != c)
+
+
+def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeValue]:
+    """Type and type value of every error, ordered by own-sequence position."""
+    check_alignment(u, v, alignment)
+    dels_u = alignment.dels_u()
+    dels_v = alignment.dels_v()
+    subs = alignment.sub_positions()
+    if len(dels_u) != len(dels_v):
+        raise AlignmentError("a del/sub pair needs equally many deletions on each side")
+    s = len(dels_u)
+    entries = sorted(
+        [(p, DEL_OVER) for p in dels_u]
+        + [(p, SUB) for p in subs]
+        + [(p, DEL_UNDER) for p in dels_v]
+    )
+    values = [p for p, _ in entries]
+    for a, b in zip(values, values[1:]):
+        if b - a < 2 * s + 1:
+            raise SeparationError(
+                f"error positions {a} and {b} are closer than {2 * s + 1}; windows overlap"
+            )
+    n = len(u)
+    u_to_v = dict(alignment.matched_pairs())
+    del_u_set = set(dels_u)
+    del_v_set = set(dels_v)
+
+    def tau_u(p: int) -> int:
+        if p in del_u_set:
+            raise SeparationError(f"U position {p} adjoins an error but is deleted")
+        return v[u_to_v[p] - 1]
+
+    out = []
+    for p, kind in entries:
+        if not 2 <= p <= n - 1:
+            raise SeparationError(f"error position {p} outside the interior [2, {n - 1}]")
+        if kind == SUB:
+            left = tau_u(p - 1)
+            e = _f3(left, u[p - 1], u[p]) - _f3(left, tau_u(p), u[p])
+        elif kind == DEL_OVER:
+            if p - 1 in del_u_set or p + 1 in del_u_set:
+                raise SeparationError(f"deletion at U position {p} has a deleted neighbour")
+            e = _f3(u[p - 2], u[p - 1], u[p]) - _f2(u[p - 2], u[p])
+        else:
+            if p - 1 in del_v_set or p + 1 in del_v_set:
+                raise SeparationError(f"deletion at V position {p} has a deleted neighbour")
+            e = _f2(v[p - 2], v[p]) - _f3(v[p - 2], v[p - 1], v[p])
+        out.append(ErrorTypeValue(kind, e, p))
+    return out
 
 
 def alignment_from_positions(

@@ -124,6 +124,36 @@ def test_check_alignment_validation():
         check_alignment(u, Word("0110"), good)
     with pytest.raises(AlignmentError):
         check_alignment(u, v, Alignment((("match", 2, 1),) + good.ops[1:]))
+    # a match past the end of the words has no symbols to compare
+    with pytest.raises(AlignmentError, match="does not consume both words exactly"):
+        check_alignment(u, v, Alignment(good.ops + (("match", 5, 5),)))
+
+
+def test_check_alignment_matches_the_oracle_on_malformed_alignments():
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(300):
+        x, y = (pad(w) for w in oracles.random_confusable_pair(rng, 10))
+        ops = list(find_relation(x, y)[2].ops)
+        t = rng.randrange(len(ops))
+        op = ops[t]
+        a = rng.choice([o[1] for o in ops if o[0] == "match"])
+        flipped = Word.from_int(x.value ^ (1 << (len(x) - a)), len(x))
+        malformed = (
+            (x, ops[:t] + [op[:1] + tuple(p + 1 for p in op[1:])] + ops[t + 1 :]),  # shifted
+            (flipped, ops),  # a match joins unequal symbols
+            (x, ops[:t] + ops[t + 1 :]),  # dropped
+            (x, ops[:t] + [("ins",) + op[1:]] + ops[t + 1 :]),  # unknown kind
+        )
+        for u, bad in malformed:
+            messages = []
+            for check in (check_alignment, oracles.check_alignment):
+                with pytest.raises(AlignmentError) as exc:
+                    check(u, y, Alignment(tuple(bad)))
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1], (u, y, bad)
+            seen.add(messages[0].split()[-1])
+    assert {"consumption", "symbols", "'ins'"} <= seen
 
 
 def test_segmentation_worked_example():
@@ -262,10 +292,11 @@ def test_find_relation_builds_one_table_per_call(monkeypatch):
     assert len(calls) == 1
 
 
-def _separation_outcome(separate, x, y, k=5):
+def _separation_outcome(separate, x, y, k=5, *settings):
+    """The Separation, or the exception type and message."""
     try:
-        return separate(x, y, k)
-    except ValueError as exc:
+        return separate(x, y, k, *settings)
+    except (ValueError, RoundBudgetError) as exc:
         return type(exc), str(exc)
 
 
@@ -276,6 +307,69 @@ def test_separate_errors_matches_the_list_state_exhaustive(n):
         if edit_distance(x, y) <= 4:
             expected = _separation_outcome(oracles.separate_errors_lists, x, y)
             assert _separation_outcome(separate_errors, x, y) == expected, (x, y)
+
+
+def _classify_outcome(classify, u, v, alignment):
+    try:
+        return classify(u, v, alignment)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_SEPARATION_SETTINGS = tuple(product((1, 2, 3, 5, 7), (None, 0, 1, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_separate_errors_matches_the_list_state_on_every_setting(n):
+    # every pair runs under the default and each pinned shape; (k, budget)
+    # cycles through all 20 settings, so each shape meets each setting on
+    # every 20th pair
+    words = [Word.from_int(v, n) for v in range(1 << n)]
+    pairs = [(x, y) for x, y in product(words, repeat=2) if edit_distance(x, y) <= 4]
+    for t, (x, y) in enumerate(pairs):
+        for c, shape in enumerate(((None, None),) + analysis._RELATION_ORDER):
+            k, budget = _SEPARATION_SETTINGS[(t + c) % len(_SEPARATION_SETTINGS)]
+            expected = _separation_outcome(oracles.separate_errors_lists, x, y, k, budget, *shape)
+            got = _separation_outcome(separate_errors, x, y, k, budget, *shape)
+            assert got == expected, (x, y, k, budget, shape)
+            if isinstance(got, analysis.Separation):
+                # below k = 2s + 1 the windows may overlap: classification refuses
+                args = (got.u, got.v, got.alignment)
+                assert _classify_outcome(classify_errors, *args) == _classify_outcome(
+                    oracles.classify_errors, *args
+                ), (x, y, k, budget, shape)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rank_cut_rule_matches_the_matched_pair_scan_exhaustive(n):
+    # the rule and the search read only the length and the error positions,
+    # so each distinct (length, dels_u, subs, dels_v) is checked once
+    words = [Word.from_int(v, n) for v in range(1 << n)]
+    checked = set()
+    for x, y in product(words, repeat=2):
+        if edit_distance(x, y) > 4:
+            continue
+        big_x, big_y = pad(x), pad(y)
+        for shape in analysis._RELATION_ORDER:
+            try:
+                alignment = find_relation(big_x, big_y, *shape)[2]
+            except NoRelationError:
+                continue
+            state = analysis._PairState(big_x, big_y, alignment)
+            key = (n, tuple(state.dels_u), tuple(state.subs), tuple(state.dels_v))
+            if key in checked:
+                continue
+            checked.add(key)
+            reference = oracles._ListPairState.from_alignment(big_x, big_y, alignment)
+            for i, j in product(range(n + 4), repeat=2):
+                assert state.cut_ok(i, j) == reference.cut_ok(i, j), (key, i, j)
+            errors = state.error_entries()
+            for m in range(1, len(errors)):
+                swapped = errors[: m - 1] + [errors[m], errors[m - 1]] + errors[m + 1 :]
+                for order in (errors, swapped):
+                    expected = oracles._list_find_cut(reference, order, m)
+                    assert analysis._find_cut(state, order, m) == expected, (key, order, m)
+    assert checked or n < 3
 
 
 @pytest.mark.parametrize("n", (12, 24, 48))
@@ -322,6 +416,8 @@ def test_separate_errors_zero_rounds_cases():
 def test_separate_errors_round_budget():
     with pytest.raises(RoundBudgetError):
         separate_errors(Word("001"), Word("111"), 5, round_budget=0)
+    with pytest.raises(ValueError, match="round budget must be at least 0, got -1"):
+        separate_errors(Word("001"), Word("111"), 5, round_budget=-1)
 
 
 def test_separate_errors_requires_equal_lengths_and_positive_k():
@@ -350,6 +446,7 @@ def _full_invariants(x, y, k=5):
     if any(diff0):
         assert sign_preserving_number(diff0) <= sign_preserving_number(diff1)
     classified = classify_errors(sep.u, sep.v, sep.alignment)
+    assert classified == oracles.classify_errors(sep.u, sep.v, sep.alignment)
     assert sum(e.value for e in classified) == adjacency_count(sep.u) - adjacency_count(sep.v)
     return sep
 

@@ -341,3 +341,11 @@ def test_round_budget_env_is_read_only_by_classify(capsys, monkeypatch):
         capsys, "analyze", "classify", "--x", "0001011", "--y", "0110001", "--round-budget", "9"
     )
     assert status == EXIT_OK
+
+
+def test_negative_round_budget_is_a_usage_error(capsys, monkeypatch):
+    pair = ("analyze", "classify", "--x", "0001011", "--y", "0110001")
+    expected = "error: round budget must be at least 0, got -1\n"
+    assert run_cli(capsys, *pair, "--round-budget", "-1", "--machine") == (EXIT_USAGE, "", expected)
+    monkeypatch.setenv(ROUND_BUDGET_ENV, "-1")
+    assert run_cli(capsys, *pair, "--machine") == (EXIT_USAGE, "", expected)

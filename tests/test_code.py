@@ -233,9 +233,21 @@ class SerialPool:
 def test_sweep_pool_has_one_process_per_shard(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # enough cores for every shard
     # n=11 has 8 groups with two or more words: 5 workers get 4 shards of 2
     assert scan_pairwise_distance(11, workers=5) == scan_pairwise_distance(11)
     assert SerialPool.sizes == [4]
+
+
+def test_sweep_pool_is_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    # n=11 has 8 shared classes: 10 000 workers get 8 shards of 1
+    assert scan_pairwise_distance(11, workers=10_000) == scan_pairwise_distance(11)
+    assert len(SerialPool.sizes) == 1 and SerialPool.sizes[0] <= os.cpu_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert scan_pairwise_distance(11, workers=10_000) == scan_pairwise_distance(11)
+    assert SerialPool.sizes[1:] == [3]
 
 
 @pytest.mark.parametrize("n", range(7, 15))
