@@ -162,7 +162,7 @@ def random_pattern(rng: random.Random, n: int, max_edits: int = 2,
             for t in range(max_edits + 1)
             for s in range(max_edits + 1 - t)
             for r in range(max_edits + 1 - t - s)
-            if s <= n
+            if s + r <= n
         ]
         t, s, r = triples[rng.randrange(len(triples))]
     else:

@@ -292,10 +292,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return _ANALYZE[args.action](args, pair)
 
 
-def _add_common(sub: argparse.ArgumentParser, io_words: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, io_words: bool = False, cap: bool = False) -> None:
     sub.add_argument("--machine", action="store_true", help="one key=value record per line")
-    sub.add_argument("--enum-cap", type=int, default=None, help="enumeration length cap")
-    sub.add_argument("--round-budget", type=int, default=None, help="segmentation round cap")
+    if cap:
+        sub.add_argument("--enum-cap", type=int, default=None, help="enumeration length cap")
     if io_words:
         sub.add_argument("words", nargs="*", help="words as 0/1 strings (default: stdin)")
         sub.add_argument("--input", help="file of words, one per line")
@@ -326,25 +326,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(
         subs, "enumerate", _cmd_enumerate, "all codewords in lexicographic order", params=True
     )
-    _add_common(p)
+    _add_common(p, cap=True)
 
     p = _add_command(subs, "census", _cmd_census, "syndrome class sizes over the whole space")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--top", type=int, default=5, help="how many classes to list")
-    _add_common(p)
+    _add_common(p, cap=True)
 
     p = _add_command(subs, "best-params", _cmd_best_params, "parameters of the largest class")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, cap=True)
 
     p = _add_command(
         subs, "encode", _cmd_encode, "codeword with the given lexicographic index", params=True
     )
     p.add_argument("--index", type=int, required=True)
-    _add_common(p)
+    _add_common(p, cap=True)
 
     p = _add_command(subs, "rank", _cmd_rank, "lexicographic index of a codeword", params=True)
-    _add_common(p, io_words=True)
+    _add_common(p, io_words=True, cap=True)
 
     p = _add_command(subs, "decode", _cmd_decode, "unique codeword within two edits", params=True)
     _add_common(p, io_words=True)
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="group by residues (bucket) or by exact weight sums (exact)",
     )
     p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
+    _add_common(p, cap=True)
 
     p = _add_command(
         subs, "analyze", _cmd_analyze, "sign-preserving numbers, classification, segmentation"
@@ -377,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", help="relation shape s,r (segment; default: smallest)")
     p.add_argument("--k", type=int, default=5, help="target separation (classify)")
     _add_common(p)
+    p.add_argument("--round-budget", type=int, default=None, help="segmentation round cap")
 
     return parser
 

@@ -58,10 +58,12 @@ class ResourceCapError(RuntimeError):
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(ENUM_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUMERATION_CAP
+    if cap is None:
+        env = os.environ.get(ENUM_CAP_ENV)
+        cap = int(env) if env else DEFAULT_ENUMERATION_CAP
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be at least 0, got {cap}")
+    return cap
 
 
 def _check_cap(n: int, cap: int | None) -> None:

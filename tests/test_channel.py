@@ -219,6 +219,16 @@ def test_pattern_enumeration_counts():
     assert ball == error_ball(Word.from_int(37, n), 0, 1, 1)
 
 
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_random_pattern_fits_short_words(n):
+    word = Word.from_int(0, n)
+    for seed in range(200):
+        pattern = random_pattern(random.Random(seed), n)
+        t, s, r = pattern.counts
+        assert t + s + r <= 2 and s + r <= n
+        apply_errors(word, pattern)
+
+
 def test_random_pattern_is_seed_deterministic():
     a = [random_pattern(random.Random(99), 9) for _ in range(10)]
     b = [random_pattern(random.Random(99), 9) for _ in range(10)]

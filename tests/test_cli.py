@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from twoedit.cli import (
     main,
 )
 from twoedit.code import ENUM_CAP_ENV
+from test_code import SerialPool
 
 ROOT = Path(__file__).resolve().parents[1]
 # (argv, env) -> (exit, stdout, stderr) for every subcommand in both modes,
@@ -349,3 +352,84 @@ def test_negative_round_budget_is_a_usage_error(capsys, monkeypatch):
     assert run_cli(capsys, *pair, "--round-budget", "-1", "--machine") == (EXIT_USAGE, "", expected)
     monkeypatch.setenv(ROUND_BUDGET_ENV, "-1")
     assert run_cli(capsys, *pair, "--machine") == (EXIT_USAGE, "", expected)
+
+
+def test_negative_enumeration_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv(ENUM_CAP_ENV, raising=False)
+    expected = "error: enumeration cap must be at least 0, got -1\n"
+    assert run_cli(capsys, "census", "--n", "9", "--enum-cap", "-1") == (EXIT_USAGE, "", expected)
+    monkeypatch.setenv(ENUM_CAP_ENV, "-3")
+    status, out, err = run_cli(capsys, "enumerate", "--n", "9", "--params", "0,0,0,0", "--machine")
+    assert (status, out, err) == (EXIT_USAGE, "", expected.replace("-1", "-3"))
+    # a cap of 0 is a resource limit that no length fits
+    status, out, _ = run_cli(capsys, "census", "--n", "9", "--enum-cap", "0", "--machine")
+    assert status == EXIT_RESOURCE and "kind=resource" in out
+
+
+def test_random_corruption_of_a_one_symbol_word(capsys):
+    argv = ("corrupt", "--random", "--seed", "1", "0", "01011011010", "--machine")
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_OK
+    assert record_types(out) == {"corrupt"} and len(out.splitlines()) == 2
+
+
+# a valid invocation of every subcommand, to which a flag is appended
+VALID_ARGV = {
+    "syndrome": ("syndrome", "0000001"),
+    "check": ("check", "--n", "7", "--params", "0,0,0,0", "0000000"),
+    "enumerate": ("enumerate", "--n", "9", "--params", "0,0,0,0"),
+    "census": ("census", "--n", "9"),
+    "best-params": ("best-params", "--n", "9"),
+    "encode": ("encode", "--n", "9", "--params", "0,0,0,0", "--index", "0"),
+    "rank": ("rank", "--n", "9", "--params", "0,0,0,0", "000000000"),
+    "decode": ("decode", "--n", "11", "--params", "8,10,2434,8", "0111011010"),
+    "corrupt": ("corrupt", "--pattern", "del@2", "0000001"),
+    "verify": ("verify", "--n", "9"),
+    "analyze": ("analyze", "classify", "--x", "0001011", "--y", "0110001"),
+}
+ENUM_CAP_READERS = ("enumerate", "census", "best-params", "encode", "rank", "verify")
+REMOVED_FLAGS = [(command, "--round-budget") for command in VALID_ARGV if command != "analyze"] + [
+    (command, "--enum-cap") for command in VALID_ARGV if command not in ENUM_CAP_READERS
+]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_a_subcommand_rejects_a_flag_it_does_not_read(capsys, command, flag):
+    assert run_cli(capsys, *VALID_ARGV[command])[0] == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main([*VALID_ARGV[command], flag, "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, "--enum-cap") for command in ENUM_CAP_READERS] + [("analyze", "--round-budget")],
+)
+def test_a_subcommand_honours_the_flag_it_reads(capsys, monkeypatch, command, flag):
+    for name in (ENUM_CAP_ENV, ROUND_BUDGET_ENV):
+        monkeypatch.delenv(name, raising=False)
+    assert run_cli(capsys, *VALID_ARGV[command])[0] == EXIT_OK
+    # a cap of 8 is below every length above; a budget of 0 stops this pair's separation
+    value = "8" if flag == "--enum-cap" else "0"
+    status, out, _ = run_cli(capsys, *VALID_ARGV[command], flag, value)
+    assert status == EXIT_RESOURCE and "resource cap exceeded" in out
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``twoedit ...`` line of the README's CLI code block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("twoedit ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples_succeed(argv, capsys, monkeypatch):
+    for name in (ENUM_CAP_ENV, ROUND_BUDGET_ENV):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_OK and out

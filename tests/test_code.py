@@ -203,6 +203,21 @@ def test_enumeration_cap():
         del os.environ["TWOEDIT_ENUM_CAP"]
 
 
+def test_negative_enumeration_cap_is_rejected(monkeypatch):
+    monkeypatch.delenv("TWOEDIT_ENUM_CAP", raising=False)
+    with pytest.raises(ValueError, match="enumeration cap must be at least 0, got -1"):
+        bucket_census(9, -1)
+    monkeypatch.setenv("TWOEDIT_ENUM_CAP", "-3")
+    with pytest.raises(ValueError, match="got -3"):
+        enumeration_cap()
+    with pytest.raises(ValueError, match="got -3"):
+        enumerate_codewords(CodeParams.from_values(9, 0, 0, 0, 0))
+    # a cap of 0 is valid and admits no length
+    assert enumeration_cap(0) == 0
+    with pytest.raises(ResourceCapError):
+        bucket_census(9, 0)
+
+
 def test_enumeration_cap_holds_on_a_cache_hit(monkeypatch):
     params = CodeParams.from_values(12, 0, 0, 0, 0)
     enumerate_codewords(params)  # warm the cache
