@@ -9,15 +9,18 @@ When errors sit too close together, a matched filler word can be spliced
 into both sequences at a cut that no matched pair crosses; this pulls the
 errors apart while preserving the adjacency-count difference exactly and
 embedding the old profile difference into the new one as a subsequence.
-Separation state holds the two words and the sorted error positions (U
-deletions, substitutions, V deletions); the matching is implied, since the
-t-th undeleted position of U is matched to the t-th undeleted one of V.  So
-a cut (i, j) crosses no matched pair exactly when as many matched positions
-of U lie at or before i as of V at or before j, and both counts and the
-cut search cost O(#errors), not O(n).  A cut splices the filler into both
-packed words with shifts and masks, so each round's words are the next
-round's "before" words.  Only alignments from outside are checked:
-``separate_errors`` trusts the one ``find_relation`` just built.
+An alignment is its error positions: the sorted U deletions, the U
+positions of the substitutions, and the sorted V deletions.  The matching is
+implied, since the t-th undeleted position of U is matched to the t-th
+undeleted one of V, so checking an alignment costs O(#errors) operations on
+the packed words: with the deletions shifted out, the two words may differ
+only at the ranks of the substitutions.  By the same ranks, a cut (i, j)
+crosses no matched pair exactly when as many matched positions of U lie at
+or before i as of V at or before j, and both counts and the cut search cost
+O(#errors), not O(n).  A cut splices the filler into both packed words with
+shifts and masks, so each round's words are the next round's "before"
+words.  Only alignments from outside are checked: ``separate_errors`` trusts
+the one ``find_relation`` just built.
 
 The relation of a pair comes from one suffix-cost table for every shape.
 Its cell (i, j, a) is reached after consuming i symbols of x and j of y
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .words import Word, pad
 
@@ -77,77 +81,53 @@ class ErrorTypeValue:
 
 @dataclass(frozen=True)
 class Alignment:
-    """Monotone matching between two equal-length words U and V.
+    """Monotone matching between two equal-length words U and V, given by its
+    error positions, each tuple strictly ascending: ``dels_u`` and ``dels_v``
+    are the deleted positions of U and of V, and ``subs`` the U positions of
+    the substitution pairs (a substitution may join equal symbols, the
+    trivial case).  The matching is implied: the t-th undeleted position of
+    U is matched to the t-th undeleted position of V."""
 
-    ``ops`` consumes both words left to right: ("match", u, v) and
-    ("sub", u, v) consume one position of each (a sub marks the pair as a
-    substitution and may carry equal symbols, the trivial case), ("del_u", u)
-    consumes a position of U only, ("del_v", v) one of V only.
-    """
-
-    ops: tuple[tuple, ...]
-
-    def matched_pairs(self) -> list[tuple[int, int]]:
-        return [(op[1], op[2]) for op in self.ops if op[0] in ("match", "sub")]
-
-    def sub_positions(self) -> list[int]:
-        return [op[1] for op in self.ops if op[0] == "sub"]
-
-    def dels_u(self) -> list[int]:
-        return [op[1] for op in self.ops if op[0] == "del_u"]
-
-    def dels_v(self) -> list[int]:
-        return [op[1] for op in self.ops if op[0] == "del_v"]
+    dels_u: tuple[int, ...]
+    subs: tuple[int, ...]
+    dels_v: tuple[int, ...]
 
 
 def check_alignment(u: Word, v: Word, alignment: Alignment) -> None:
-    """Raise AlignmentError unless the alignment consumes ``u`` and ``v``
-    exactly once each, in order, with equal symbols on plain matches."""
-    if len(u) != len(v):
+    """Raise AlignmentError unless each position tuple strictly ascends within
+    [1, n], both words lose equally many symbols, no substitution sits on a
+    deleted position, and every matched pair but the substitutions joins
+    equal symbols."""
+    n = len(u)
+    if len(v) != n:
         raise AlignmentError("aligned words must have equal length")
-    su, sv = str(u), str(v)
-    next_u = next_v = 1
-    for op in alignment.ops:
-        kind = op[0]
-        if kind in ("match", "sub"):
-            _, a, b = op
-            if a != next_u or b != next_v:
-                raise AlignmentError(f"op {op} breaks monotone consumption")
-            # a slice past the end is empty, and the length check below fails
-            if kind == "match" and su[a - 1 : a] != sv[b - 1 : b]:
-                raise AlignmentError(f"match at ({a}, {b}) joins unequal symbols")
-            next_u += 1
-            next_v += 1
-        elif kind == "del_u":
-            if op[1] != next_u:
-                raise AlignmentError(f"op {op} breaks monotone consumption")
-            next_u += 1
-        elif kind == "del_v":
-            if op[1] != next_v:
-                raise AlignmentError(f"op {op} breaks monotone consumption")
-            next_v += 1
-        else:
-            raise AlignmentError(f"unknown op kind {kind!r}")
-    if next_u != len(u) + 1 or next_v != len(v) + 1:
-        raise AlignmentError("alignment does not consume both words exactly")
+    dels_u, subs, dels_v = alignment.dels_u, alignment.subs, alignment.dels_v
+    for name, ps in (("U deletion", dels_u), ("substitution", subs), ("V deletion", dels_v)):
+        if ps and not (1 <= ps[0] and ps[-1] <= n and all(a < b for a, b in zip(ps, ps[1:]))):
+            raise AlignmentError(f"{name} positions {ps} do not ascend strictly within [1, {n}]")
+    if len(dels_u) != len(dels_v):
+        raise AlignmentError("a del/sub pair needs equally many deletions on each side")
+    m = n - len(dels_u)  # matched pairs; the pair of rank k is bit m - k of a kept word
+    allowed = 0
+    for a in subs:
+        t = bisect_right(dels_u, a)
+        if t and dels_u[t - 1] == a:
+            raise AlignmentError(f"substitution at U position {a} is deleted")
+        allowed |= 1 << (m - a + t)
+    wrong = (_kept(u.value, n, dels_u) ^ _kept(v.value, n, dels_v)) & ~allowed
+    if wrong:
+        k = m - wrong.bit_length() + 1
+        a, b = _kth(k, dels_u), _kth(k, dels_v)
+        raise AlignmentError(f"match at ({a}, {b}) joins unequal symbols")
 
 
-def _merge_ops(pairs, subs, dels_u: list[int], dels_v: list[int]) -> Alignment:
-    """Alignment of matched ``pairs`` in order, each preceded by the sorted
-    deletions that come before it; a pair whose U position is in ``subs`` is
-    a substitution."""
-    sub_set = set(subs)
-    ops: list[tuple] = []
-    du = dv = 0
-    for a, b in pairs:
-        while du < len(dels_u) and dels_u[du] < a:
-            ops.append(("del_u", dels_u[du]))
-            du += 1
-        while dv < len(dels_v) and dels_v[dv] < b:
-            ops.append(("del_v", dels_v[dv]))
-            dv += 1
-        ops.append(("sub" if a in sub_set else "match", a, b))
-    return Alignment(tuple(ops))
+def _kept(value: int, n: int, dels) -> int:
+    """A packed n-symbol word with its symbols at the ascending 1-based
+    positions ``dels`` shifted out."""
+    for p in dels:  # ascending, so the n - p symbols after p are still there
+        low = n - p
+        value = (value >> (low + 1) << low) | (value & ((1 << low) - 1))
+    return value
 
 
 def _rank(p: int, dels: list[int]) -> int:
@@ -183,11 +163,7 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
     window against the two-symbol remainder on their own side.
     """
     check_alignment(u, v, alignment)
-    dels_u = alignment.dels_u()
-    dels_v = alignment.dels_v()
-    subs = alignment.sub_positions()
-    if len(dels_u) != len(dels_v):
-        raise AlignmentError("a del/sub pair needs equally many deletions on each side")
+    dels_u, subs, dels_v = alignment.dels_u, alignment.subs, alignment.dels_v
     s = len(dels_u)
     entries = sorted(
         [(p, DEL_OVER) for p in dels_u]
@@ -243,23 +219,17 @@ class _PairState:
     """A word pair and its error positions; the t-th undeleted position of
     ``x`` is matched to the t-th undeleted one of ``y``.
 
-    The alignment must already be known monotone (checked, or built by
-    ``find_relation``), so its position lists arrive sorted."""
+    The alignment must already be known valid (checked, or built by
+    ``find_relation``), so its position tuples arrive sorted."""
 
     __slots__ = ("x", "y", "subs", "dels_u", "dels_v")
 
     def __init__(self, x: Word, y: Word, alignment: Alignment):
         self.x = x
         self.y = y
-        self.subs = alignment.sub_positions()
-        self.dels_u = alignment.dels_u()
-        self.dels_v = alignment.dels_v()
-
-    def alignment(self) -> Alignment:
-        n = len(self.x)
-        kept_u = [p for p in range(1, n + 1) if p not in self.dels_u]
-        kept_v = [p for p in range(1, n + 1) if p not in self.dels_v]
-        return _merge_ops(zip(kept_u, kept_v), self.subs, self.dels_u, self.dels_v)
+        self.subs = alignment.subs
+        self.dels_u = alignment.dels_u
+        self.dels_v = alignment.dels_v
 
     def error_entries(self) -> list[tuple[int, str]]:
         """Error positions tagged by owning side, sorted by (position, side)."""
@@ -376,17 +346,19 @@ def _suffix_costs(x: Word, y: Word) -> list[list[int]]:
     return g
 
 
-def _reconstruct(x: Word, y: Word, s: int, g) -> list[tuple]:
-    """Leftmost optimal alignment, preferring match > sub > del_u > del_v."""
+def _reconstruct(x: Word, y: Word, s: int, g) -> tuple[list[int], list[int], list[int]]:
+    """U deletions, substitutions (U positions) and V deletions of the
+    leftmost optimal alignment, preferring match > sub > del_u > del_v."""
     n = len(x)
     xb, yb = tuple(x), tuple(y)
     i = j = 0
     a = b = s
     rem = g[0][4 * s]
-    ops: list[tuple] = []
+    dels_u: list[int] = []
+    subs: list[int] = []
+    dels_v: list[int] = []
     while i < n or j < n:
         if i < n and j < n and xb[i] == yb[j] and g[i + 1][3 * a + b] == rem:
-            ops.append(("match", i + 1, j + 1))
             i += 1
             j += 1
             continue
@@ -397,23 +369,23 @@ def _reconstruct(x: Word, y: Word, s: int, g) -> list[tuple]:
             and 2 <= i + 1 <= n - 1
             and g[i + 1][3 * a + b] == rem - 1
         ):
-            ops.append(("sub", i + 1, j + 1))
+            subs.append(i + 1)
             i += 1
             j += 1
             rem -= 1
             continue
         if i < n and a and 2 <= i + 1 <= n - 1 and g[i + 1][3 * a - 3 + b] == rem:
-            ops.append(("del_u", i + 1))
+            dels_u.append(i + 1)
             i += 1
             a -= 1
             continue
         if j < n and b and 2 <= j + 1 <= n - 1 and g[i][3 * a + b - 1] == rem:
-            ops.append(("del_v", j + 1))
+            dels_v.append(j + 1)
             j += 1
             b -= 1
             continue
         raise AssertionError("alignment reconstruction lost the optimal path")
-    return ops
+    return dels_u, subs, dels_v
 
 
 _RELATION_ORDER = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
@@ -435,32 +407,28 @@ def find_relation(
     g = _suffix_costs(x, y)
     for cs, cr in _RELATION_ORDER:
         if (s is None or cs == s) and (r is None or cr == r) and g[0][4 * cs] <= 2 * cr:
-            ops = _reconstruct(x, y, cs, g)
-            return cs, cr, _with_trivial_fills(ops, 2 * cr, len(x))
+            dels_u, subs, dels_v = _reconstruct(x, y, cs, g)
+            subs = _with_trivial_fills(subs, dels_u, 2 * cr, len(x))
+            return cs, cr, Alignment(tuple(dels_u), subs, tuple(dels_v))
     shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"
     raise NoRelationError(
         f"no relation{shape} with at most two deletions+substitutions joins {x} and {y}"
     )
 
 
-def _with_trivial_fills(ops: list[tuple], wanted: int, n: int) -> Alignment:
-    have = sum(1 for op in ops if op[0] == "sub")
-    if have > wanted:
+def _with_trivial_fills(subs: list[int], dels_u: list[int], wanted: int, n: int) -> tuple[int, ...]:
+    """``subs`` topped up to ``wanted`` with trivial substitutions at the
+    first interior U positions that are neither deleted nor substituted."""
+    need = wanted - len(subs)
+    if need < 0:
         raise AssertionError("reconstruction used more substitutions than allowed")
-    need = wanted - have
     if need:
-        taken = {op[1] for op in ops if op[0] in ("sub", "del_u")}
-        out = []
-        for op in ops:
-            if need and op[0] == "match" and 2 <= op[1] <= n - 1 and op[1] not in taken:
-                out.append(("sub", op[1], op[2]))
-                need -= 1
-            else:
-                out.append(op)
-        ops = out
-    if need:
-        raise NoRelationError("not enough interior matches for trivial substitution fills")
-    return Alignment(tuple(ops))
+        free = (p for p in range(2, n) if p not in dels_u and p not in subs)
+        fills = list(islice(free, need))
+        if len(fills) < need:
+            raise NoRelationError("not enough interior matches for trivial substitution fills")
+        subs = sorted(subs + fills)
+    return tuple(subs)
 
 
 # --- full separation pipeline ----------------------------------------------
@@ -484,15 +452,15 @@ class Separation:
     v: Word
     s: int
     r: int
-    dels_u: tuple[int, ...]
-    subs_u: tuple[int, ...]
-    dels_v: tuple[int, ...]
     alignment: Alignment
     rounds: tuple[SegmentationRound, ...]
 
     @property
     def positions(self) -> tuple[int, ...]:
-        return self.dels_u + self.subs_u + self.dels_v
+        """The error positions as one block: U deletions, substitutions, V
+        deletions."""
+        a = self.alignment
+        return a.dels_u + a.subs + a.dels_v
 
 
 def _find_cut(state: _PairState, errors, m: int):
@@ -581,9 +549,6 @@ def separate_errors(
         v=state.y,
         s=s,
         r=r,
-        dels_u=tuple(state.dels_u),
-        subs_u=tuple(state.subs),
-        dels_v=tuple(state.dels_v),
-        alignment=state.alignment(),
+        alignment=Alignment(tuple(state.dels_u), tuple(state.subs), tuple(state.dels_v)),
         rounds=tuple(rounds),
     )

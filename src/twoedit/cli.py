@@ -266,11 +266,13 @@ def _segment(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
 _ANALYZE = {"sigma": _sigma, "classify": _classify, "segment": _segment}
 
 
-def _int_pair(text: str | None) -> tuple[int, int] | None:
+def _int_pair(text: str | None, flag: str) -> tuple[int, int] | None:
     if not text:
         return None
-    a, b = (int(v) for v in text.split(","))
-    return a, b
+    values = tuple(int(v) for v in text.split(","))
+    if len(values) != 2:
+        raise ValueError(f"{flag} needs two comma-separated integers, got {text!r}")
+    return values
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -281,8 +283,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if not (args.x and args.y):
             raise ValueError("--x and --y must be given together")
         pair = (parse_word(args.x), parse_word(args.y))
-    args.cut = _int_pair(args.cut)
-    args.rel = _int_pair(args.rel) or (None, None)
+    args.cut = _int_pair(args.cut, "--cut")
+    args.rel = _int_pair(args.rel, "--rel") or (None, None)
     if args.action == "sigma" and args.vector is None and pair is None:
         raise ValueError("analyze sigma needs --vector or --x/--y")
     if args.action in ("classify", "segment") and pair is None:

@@ -3,11 +3,11 @@
 For length n >= 7 a parameter choice is one residue tuple; the code is the
 set of words whose syndrome tuple equals it.
 
-Pairwise verification counts, then collects.  A first sweep counts every
-class; a second keeps members only for the classes that hold two or more
-words, since only those hold a pair to check.  The classes partition
-{0,1}^n, so those pairs are sharded over disjoint classes and the shard
-results merged associatively.
+Pairwise verification collects in one sweep.  It keeps the first word of
+every class and starts a member list only when a second word arrives, since
+only classes of two or more words hold a pair to check.  The classes
+partition {0,1}^n, so those pairs are sharded over disjoint classes and the
+shard results merged associatively.
 
 Census, grouping and enumeration share one split-word sweep.  A word is a
 head ``hi`` of h = n // 2 bits followed by a tail ``lo`` of t = n - h bits.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -293,22 +293,21 @@ def _shared_classes(
         radices = moduli(n)
     else:  # above every unreduced sum (see the module docstring)
         radices = ((n + 2) ** 2, (n + 2) ** 3, (n + 2) ** 4, n + 2)
-    counts: Counter = Counter()
-    for _, keys in _split_keys(n, radices):
-        counts.update(keys)
-    shared = {key for key, count in counts.items() if count > 1}
-    members: defaultdict[int, list[int]] = defaultdict(list)
+    first: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
     for base, keys in _split_keys(n, radices):
-        if shared.isdisjoint(keys):
-            continue
         for v, key in enumerate(keys, base):
-            if key in shared:
+            if key not in first:
+                first[key] = v
+            elif key in members:
                 members[key].append(v)
+            else:
+                members[key] = [first[key], v]
     _, r1, r2, r3 = radices
     below_s1 = r2 * r3
     below_s0 = r1 * below_s1
     # the mixed-radix pack orders keys as their tuples
-    return len(counts), [
+    return len(first), [
         ((key // below_s0, key // below_s1 % r1, key // r3 % r2, key % r3), values)
         for key, values in sorted(members.items())
     ]

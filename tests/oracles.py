@@ -24,7 +24,6 @@ from twoedit.analysis import (
     Separation,
     SeparationError,
     _meet_filler,
-    _with_trivial_fills,
     find_relation,
 )
 from twoedit.channel import ErrorPattern, apply_errors, random_pattern
@@ -191,17 +190,22 @@ def is_good_pair(u: Word, v: Word, positions, s: int, r: int) -> bool:
 
 # --- alignment check, merge and classification by per-op Word reads --------
 # The reference for analysis.check_alignment, classify_errors and the
-# alignment a separation ends with: symbols are read one at a time through
+# alignment a separation ends with.  An alignment is an ops tuple here:
+# ("match", a, b) and ("sub", a, b) consume position a of U and b of V (a
+# sub may join equal symbols), ("del_u", a) consumes a of U only and
+# ("del_v", b) b of V only.  Symbols are read one at a time through
 # Word.__getitem__, and the matching is an explicit list or dict of pairs.
+# ``ops_of`` and ``positions_of`` convert at the boundary to the library's
+# position triples.
 
 
-def check_alignment(u: Word, v: Word, alignment: Alignment) -> None:
-    """Raise AlignmentError unless the alignment consumes ``u`` and ``v``
-    exactly once each, in order, with equal symbols on plain matches."""
+def check_alignment(u: Word, v: Word, ops) -> None:
+    """Raise AlignmentError unless ``ops`` consumes ``u`` and ``v`` exactly
+    once each, in order, with equal symbols on plain matches."""
     if len(u) != len(v):
         raise AlignmentError("aligned words must have equal length")
     next_u = next_v = 1
-    for op in alignment.ops:
+    for op in ops:
         kind = op[0]
         if kind in ("match", "sub"):
             _, a, b = op
@@ -225,10 +229,10 @@ def check_alignment(u: Word, v: Word, alignment: Alignment) -> None:
         raise AlignmentError("alignment does not consume both words exactly")
 
 
-def _merge_ops(pairs, subs, dels_u: list[int], dels_v: list[int]) -> Alignment:
-    """Alignment of matched ``pairs`` in order, each preceded by the sorted
-    deletions that come before it; a pair whose U position is in ``subs`` is
-    a substitution."""
+def _merge_ops(pairs, subs, dels_u, dels_v) -> tuple[tuple, ...]:
+    """Ops of matched ``pairs`` in order, each preceded by the deletions
+    that come before it, then the deletions left over; a pair whose U
+    position is in ``subs`` is a substitution."""
     sub_set = set(subs)
     ops: list[tuple] = []
     du = dv = 0
@@ -240,7 +244,41 @@ def _merge_ops(pairs, subs, dels_u: list[int], dels_v: list[int]) -> Alignment:
             ops.append(("del_v", dels_v[dv]))
             dv += 1
         ops.append(("sub" if a in sub_set else "match", a, b))
-    return Alignment(tuple(ops))
+    ops.extend(("del_u", p) for p in dels_u[du:])
+    ops.extend(("del_v", p) for p in dels_v[dv:])
+    return tuple(ops)
+
+
+def ops_of(alignment: Alignment, n: int) -> tuple[tuple, ...]:
+    """The ops of a position triple on words of length ``n``: the kept
+    positions of U and V paired in order, with the deletions merged in."""
+    kept_u = [p for p in range(1, n + 1) if p not in alignment.dels_u]
+    kept_v = [p for p in range(1, n + 1) if p not in alignment.dels_v]
+    return _merge_ops(zip(kept_u, kept_v), alignment.subs, alignment.dels_u, alignment.dels_v)
+
+
+def positions_of(ops) -> Alignment:
+    """The position triple of an ops tuple, each tuple in op order."""
+    return Alignment(
+        tuple(op[1] for op in ops if op[0] == "del_u"),
+        tuple(op[1] for op in ops if op[0] == "sub"),
+        tuple(op[1] for op in ops if op[0] == "del_v"),
+    )
+
+
+def checked_ops(u: Word, v: Word, alignment: Alignment) -> tuple[tuple, ...]:
+    """The ops of a position triple, or AlignmentError: the triple holds iff
+    its ops pass ``check_alignment`` and convert back to the same triple."""
+    ops = ops_of(alignment, len(u))
+    check_alignment(u, v, ops)
+    if positions_of(ops) != alignment:
+        raise AlignmentError(f"{alignment} is not the position triple of its ops")
+    return ops
+
+
+def matched_pairs(alignment: Alignment, n: int) -> list[tuple[int, int]]:
+    """The matched (U, V) position pairs, substitutions included."""
+    return [(op[1], op[2]) for op in ops_of(alignment, n) if op[0] in ("match", "sub")]
 
 
 def _f2(a: int, b: int) -> int:
@@ -253,10 +291,10 @@ def _f3(a: int, b: int, c: int) -> int:
 
 def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeValue]:
     """Type and type value of every error, ordered by own-sequence position."""
-    check_alignment(u, v, alignment)
-    dels_u = alignment.dels_u()
-    dels_v = alignment.dels_v()
-    subs = alignment.sub_positions()
+    ops = checked_ops(u, v, alignment)
+    dels_u = [op[1] for op in ops if op[0] == "del_u"]
+    dels_v = [op[1] for op in ops if op[0] == "del_v"]
+    subs = [op[1] for op in ops if op[0] == "sub"]
     if len(dels_u) != len(dels_v):
         raise AlignmentError("a del/sub pair needs equally many deletions on each side")
     s = len(dels_u)
@@ -272,7 +310,7 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
                 f"error positions {a} and {b} are closer than {2 * s + 1}; windows overlap"
             )
     n = len(u)
-    u_to_v = dict(alignment.matched_pairs())
+    u_to_v = {op[1]: op[2] for op in ops if op[0] in ("match", "sub")}
     del_u_set = set(dels_u)
     del_v_set = set(dels_v)
 
@@ -309,7 +347,8 @@ def alignment_from_positions(
     n = len(u)
     remaining_u = [p for p in range(1, n + 1) if p not in dels_u]
     remaining_v = [p for p in range(1, n + 1) if p not in dels_v]
-    return _merge_ops(zip(remaining_u, remaining_v), subs_u, sorted(dels_u), sorted(dels_v))
+    ops = _merge_ops(zip(remaining_u, remaining_v), subs_u, sorted(dels_u), sorted(dels_v))
+    return positions_of(ops)
 
 
 def random_confusable_pair(rng: random.Random, n: int) -> tuple[Word, Word]:
@@ -508,7 +547,7 @@ def scan_pairwise_distance(n: int, mode: str) -> SweepReport:
 
 # --- relation search, one table per shape ----------------------------------
 # The reference for analysis.find_relation's single banded table.  The shape
-# order and the trivial fills are the library's own.
+# order is the library's own.
 
 _INF = 1 << 20
 
@@ -599,6 +638,28 @@ def _substitution_only_ops(x: Word, y: Word, r: int) -> list[tuple] | None:
     return [("sub" if p in wrong else "match", p, p) for p in range(1, n + 1)]
 
 
+def _with_trivial_fills(ops: list[tuple], wanted: int, n: int) -> list[tuple]:
+    """Turn the first interior plain matches into trivial substitutions until
+    ``wanted`` substitutions are present."""
+    have = sum(1 for op in ops if op[0] == "sub")
+    if have > wanted:
+        raise AssertionError("reconstruction used more substitutions than allowed")
+    need = wanted - have
+    if need:
+        taken = {op[1] for op in ops if op[0] in ("sub", "del_u")}
+        out = []
+        for op in ops:
+            if need and op[0] == "match" and 2 <= op[1] <= n - 1 and op[1] not in taken:
+                out.append(("sub", op[1], op[2]))
+                need -= 1
+            else:
+                out.append(op)
+        ops = out
+    if need:
+        raise NoRelationError("not enough interior matches for trivial substitution fills")
+    return ops
+
+
 def find_relation_per_shape(
     x: Word, y: Word, s: int | None = None, r: int | None = None
 ) -> tuple[int, int, Alignment]:
@@ -617,13 +678,13 @@ def find_relation_per_shape(
         if cs == 0:
             ops = _substitution_only_ops(x, y, cr)
             if ops is not None:
-                return cs, cr, _with_trivial_fills(ops, 2 * cr, len(x))
+                return cs, cr, positions_of(_with_trivial_fills(ops, 2 * cr, len(x)))
             continue
         if cs not in tables:
             tables[cs] = _suffix_costs(x, y, cs)
         if tables[cs][0][0][0] <= 2 * cr:
             ops = _reconstruct(x, y, cs, tables[cs])
-            return cs, cr, _with_trivial_fills(ops, 2 * cr, len(x))
+            return cs, cr, positions_of(_with_trivial_fills(ops, 2 * cr, len(x)))
     shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"
     raise NoRelationError(
         f"no relation{shape} with at most two deletions+substitutions joins {x} and {y}"
@@ -649,18 +710,18 @@ class _ListPairState:
 
     @classmethod
     def from_alignment(cls, u: Word, v: Word, alignment: Alignment) -> "_ListPairState":
-        check_alignment(u, v, alignment)
+        ops = checked_ops(u, v, alignment)
         return cls(
             u,
             v,
-            alignment.matched_pairs(),
-            alignment.sub_positions(),
-            alignment.dels_u(),
-            alignment.dels_v(),
+            [(op[1], op[2]) for op in ops if op[0] in ("match", "sub")],
+            [op[1] for op in ops if op[0] == "sub"],
+            [op[1] for op in ops if op[0] == "del_u"],
+            [op[1] for op in ops if op[0] == "del_v"],
         )
 
     def alignment(self) -> Alignment:
-        return _merge_ops(self.pairs, self.subs, self.dels_u, self.dels_v)
+        return positions_of(_merge_ops(self.pairs, self.subs, self.dels_u, self.dels_v))
 
     def error_entries(self) -> list[tuple[int, str]]:
         """Error positions tagged by owning side, sorted by (position, side)."""
@@ -775,9 +836,6 @@ def separate_errors_lists(
         v=Word(state.y),
         s=s,
         r=r,
-        dels_u=tuple(state.dels_u),
-        subs_u=tuple(state.subs),
-        dels_v=tuple(state.dels_v),
         alignment=state.alignment(),
         rounds=tuple(rounds),
     )

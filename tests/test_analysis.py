@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -116,51 +116,149 @@ def test_classify_rejects_overlapping_windows():
 
 def test_check_alignment_validation():
     u, v = Word("0101"), Word("0101")
-    good = Alignment((("match", 1, 1), ("match", 2, 2), ("match", 3, 3), ("match", 4, 4)))
-    check_alignment(u, v, good)
-    with pytest.raises(AlignmentError):
-        check_alignment(u, v, Alignment((("match", 1, 1),)))
-    with pytest.raises(AlignmentError):
-        check_alignment(u, Word("0110"), good)
-    with pytest.raises(AlignmentError):
-        check_alignment(u, v, Alignment((("match", 2, 1),) + good.ops[1:]))
-    # a match past the end of the words has no symbols to compare
-    with pytest.raises(AlignmentError, match="does not consume both words exactly"):
-        check_alignment(u, v, Alignment(good.ops + (("match", 5, 5),)))
+    check_alignment(u, v, Alignment((), (), ()))
+    check_alignment(u, v, Alignment((), (1, 2, 3, 4), ()))
+    check_alignment(Word("01101"), Word("00101"), Alignment((3,), (), (2,)))
+    malformed = (
+        (u, Word("01010"), Alignment((), (), ()), "must have equal length"),
+        (u, v, Alignment((), (3, 2), ()), "do not ascend strictly"),
+        (u, v, Alignment((2, 2), (), (1, 3)), "do not ascend strictly"),
+        (u, v, Alignment((), (), (0,)), "do not ascend strictly"),
+        (u, v, Alignment((), (5,), ()), "do not ascend strictly"),
+        (u, v, Alignment((2,), (), ()), "equally many deletions"),
+        (u, v, Alignment((2,), (2,), (2,)), "substitution at U position 2 is deleted"),
+        (u, Word("0111"), Alignment((), (2,), ()), r"match at \(3, 3\) joins unequal symbols"),
+        # the first differing rank names the pair: U drops 3, V drops 1
+        (Word("01101"), Word("11111"), Alignment((3,), (), (1,)), r"match at \(1, 2\)"),
+    )
+    for x, y, bad, message in malformed:
+        with pytest.raises(AlignmentError, match=message):
+            check_alignment(x, y, bad)
+
+
+def _oracle_rejects(u, v, alignment):
+    try:
+        oracles.checked_ops(u, v, alignment)
+    except AlignmentError:
+        return True
+    return False
+
+
+def _library_rejects(u, v, alignment):
+    try:
+        check_alignment(u, v, alignment)
+    except AlignmentError:
+        return True
+    return False
+
+
+def _ascending(n, sizes):
+    return [c for size in sizes for c in combinations(range(1, n + 1), size)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_check_alignment_matches_the_oracle_rule_exhaustive(n):
+    # the oracle rule's conversion and round trip read no symbol, so they
+    # are settled once per triple; its symbol check runs for every pair
+    words = [Word.from_int(v, n) for v in range(1 << n)]
+    dels = _ascending(n, range(3))
+    accepted = 0
+    for triple in product(dels, _ascending(n, range(n + 1)), dels):
+        alignment = Alignment(*triple)
+        ops = oracles.ops_of(alignment, n)
+        converts = oracles.positions_of(ops) == alignment
+        for u, v in product(words, repeat=2):
+            if converts:
+                try:
+                    oracles.check_alignment(u, v, ops)
+                    rejected = False
+                except AlignmentError:
+                    rejected = True
+            else:
+                rejected = True
+            assert _library_rejects(u, v, alignment) == rejected, (u, v, alignment)
+            accepted += not rejected
+    assert accepted
+
+
+def _malformed(rng, u, alignment, kind):
+    """``u`` and ``alignment`` with one defect of the given kind, or None
+    when the alignment has no entry to plant it on."""
+    n = len(u)
+    fields = [alignment.dels_u, alignment.subs, alignment.dels_v]
+    f = rng.randrange(3)
+    ps = fields[f]
+    if kind == "unsorted" and len(ps) > 1:
+        i = rng.randrange(len(ps) - 1)
+        fields[f] = ps[:i] + (ps[i + 1], ps[i]) + ps[i + 2 :]
+    elif kind == "repeated" and ps:
+        i = rng.randrange(len(ps))
+        fields[f] = ps[: i + 1] + ps[i:]
+    elif kind == "out of range" and ps:
+        fields[f] = (0,) + ps[1:] if rng.random() < 0.5 else ps[:-1] + (n + 1,)
+    elif kind == "shifted deletion" and alignment.dels_u:
+        f = rng.choice((0, 2))
+        i = rng.randrange(len(fields[f]))
+        fields[f] = fields[f][:i] + (fields[f][i] + rng.choice((-1, 1)),) + fields[f][i + 1 :]
+    elif kind == "flipped match":
+        a = rng.choice(
+            [p for p in range(1, n + 1) if p not in alignment.dels_u and p not in alignment.subs]
+        )
+        u = Word.from_int(u.value ^ (1 << (n - a)), n)
+    elif kind == "substitution on a deletion" and alignment.dels_u:
+        fields[1] = tuple(sorted(alignment.subs + (rng.choice(alignment.dels_u),)))
+    elif kind == "unequal deletions":
+        f = rng.choice((0, 2))
+        if fields[f] and rng.random() < 0.5:
+            i = rng.randrange(len(fields[f]))
+            fields[f] = fields[f][:i] + fields[f][i + 1 :]
+        else:
+            free = [p for p in range(2, n) if p not in fields[f]]
+            fields[f] = tuple(sorted(fields[f] + (rng.choice(free),)))
+    else:
+        return None
+    return u, Alignment(*fields)
+
+
+_DEFECTS = (
+    "unsorted",
+    "repeated",
+    "out of range",
+    "shifted deletion",
+    "flipped match",
+    "substitution on a deletion",
+    "unequal deletions",
+)
 
 
 def test_check_alignment_matches_the_oracle_on_malformed_alignments():
     rng = random.Random(83)
-    seen = set()
-    for _ in range(300):
-        x, y = (pad(w) for w in oracles.random_confusable_pair(rng, 10))
-        ops = list(find_relation(x, y)[2].ops)
-        t = rng.randrange(len(ops))
-        op = ops[t]
-        a = rng.choice([o[1] for o in ops if o[0] == "match"])
-        flipped = Word.from_int(x.value ^ (1 << (len(x) - a)), len(x))
-        malformed = (
-            (x, ops[:t] + [op[:1] + tuple(p + 1 for p in op[1:])] + ops[t + 1 :]),  # shifted
-            (flipped, ops),  # a match joins unequal symbols
-            (x, ops[:t] + ops[t + 1 :]),  # dropped
-            (x, ops[:t] + [("ins",) + op[1:]] + ops[t + 1 :]),  # unknown kind
-        )
-        for u, bad in malformed:
+    rejected = dict.fromkeys(_DEFECTS, 0)
+    for t in range(300):
+        kind = _DEFECTS[t % len(_DEFECTS)]
+        planted = None
+        while planted is None:
+            x, y = (pad(w) for w in oracles.random_confusable_pair(rng, 10))
+            planted = _malformed(rng, x, find_relation(x, y)[2], kind)
+        u, bad = planted
+        assert _library_rejects(u, y, bad) == _oracle_rejects(u, y, bad), (kind, u, y, bad)
+        if kind == "flipped match":
+            # both name the first matched pair that joins unequal symbols
             messages = []
-            for check in (check_alignment, oracles.check_alignment):
+            for check in (check_alignment, oracles.checked_ops):
                 with pytest.raises(AlignmentError) as exc:
-                    check(u, y, Alignment(tuple(bad)))
+                    check(u, y, bad)
                 messages.append(str(exc.value))
             assert messages[0] == messages[1], (u, y, bad)
-            seen.add(messages[0].split()[-1])
-    assert {"consumption", "symbols", "'ins'"} <= seen
+        rejected[kind] += _library_rejects(u, y, bad)
+    assert all(rejected.values()), rejected
 
 
 def test_segmentation_worked_example():
     x, y = Word("00010"), Word("01110")
     s, r, al = find_relation(x, y, s=2, r=0)
     assert (s, r) == (2, 0)
-    assert al.dels_u() == [2, 3] and al.dels_v() == [3, 4]
+    assert al.dels_u == (2, 3) and al.dels_v == (3, 4)
     out_x, out_y = segment_once(x, y, al, (4, 2))
     assert out_x == Word("00011110")
     assert out_y == Word("01111110")
@@ -179,9 +277,9 @@ def test_segment_once_checks_an_outside_alignment():
     x, y = Word("00010"), Word("01110")
     _, _, al = find_relation(x, y, s=2, r=0)
     malformed = (
-        Alignment(al.ops[1:]),  # drops the first pair
-        Alignment((("match", 1, 1),) + tuple(("match", p, p) for p in range(2, 6))),
-        Alignment(tuple(reversed(al.ops))),
+        Alignment(al.dels_u[1:], al.subs, al.dels_v),  # drops a deletion
+        Alignment((), (), ()),  # the identity matching joins 0 and 1
+        Alignment(al.dels_u[::-1], al.subs, al.dels_v[::-1]),
     )
     for bad in malformed:
         with pytest.raises(AlignmentError):
@@ -214,7 +312,7 @@ def test_segment_once_preserves_count_difference_randomized():
         x, y = oracles.random_confusable_pair(rng, 10)
         big_x, big_y = pad(x), pad(y)
         _, _, al = find_relation(big_x, big_y)
-        pairs = al.matched_pairs()
+        pairs = oracles.matched_pairs(al, len(big_x))
         (a, b) = pairs[rng.randrange(len(pairs))]
         if a >= len(big_x) or b >= len(big_y):
             continue
@@ -241,13 +339,13 @@ def test_find_relation_shapes():
 
 
 def _relation_outcomes(search, x, y):
-    """(s, r, ops), or the exception type and message, under the default
-    shape and each pinned one."""
+    """(s, r, alignment), or the exception type and message, under the
+    default shape and each pinned one."""
     out = []
     for shape in ((None, None),) + analysis._RELATION_ORDER:
         try:
             s, r, alignment = search(x, y, *shape)
-            out.append((s, r, alignment.ops))
+            out.append((s, r, alignment))
         except ValueError as exc:
             out.append((type(exc), str(exc)))
     return out
@@ -457,7 +555,7 @@ def test_segment_once_all_valid_cuts_exhaustive():
     x, y = Word("00010"), Word("01110")
     for shape in ((None, None), (2, 0)):
         _, _, al = find_relation(x, y, *shape)
-        pairs = set(al.matched_pairs())
+        pairs = set(oracles.matched_pairs(al, len(x)))
         for i in range(1, len(x)):
             for j in range(1, len(y)):
                 crossing = any(not ((a <= i and b <= j) or (a > i and b > j)) for a, b in pairs)

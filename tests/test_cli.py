@@ -196,6 +196,14 @@ def test_usage_errors(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, text", (("--cut", "4,2,1"), ("--rel", "2")))
+def test_a_pair_flag_names_itself_on_a_wrong_count(capsys, flag, text):
+    argv = ["analyze", "segment", "--x", "00010", "--y", "01110", "--cut", "4,2", flag, text]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_USAGE and out == ""
+    assert err == f"error: {flag} needs two comma-separated integers, got '{text}'\n"
+
+
 def test_verify_violation_exit_and_witness(capsys, monkeypatch):
     from twoedit.code import DistanceViolation, SweepReport
     from twoedit.words import Word
