@@ -11,6 +11,7 @@ space "%20", so a field never contains a space.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -45,8 +46,24 @@ def _residues(st: SyndromeTuple, keys: tuple[str, ...]) -> dict:
     return dict(zip(keys, (st.s0, st.s1, st.s2, st.s3)))
 
 
+# how many values _ints wants, as its error text says it
+_HOW_MANY = {None: "comma-separated integers", 1: "an integer", 2: "two comma-separated integers"}
+
+
+def _ints(text: str, flag: str, count: int | None = None) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, the value of ``flag``;
+    exactly ``count`` of them unless ``count`` is None."""
+    try:
+        values = tuple(int(v) for v in text.split(","))
+        if count is None or len(values) == count:
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} needs {_HOW_MANY[count]}, got {text!r}")
+
+
 def _params(args: argparse.Namespace) -> code.CodeParams:
-    parts = [int(v) for v in args.params.split(",")]
+    parts = _ints(args.params, "--params")
     if len(parts) != 4:
         raise ValueError("--params needs four comma-separated residues")
     return code.CodeParams.from_values(args.n, *parts)
@@ -226,7 +243,7 @@ def _classify(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
     # the only reader of the budget, so the only reader of its fallback
     budget = args.round_budget
     if budget is None and os.environ.get(ROUND_BUDGET_ENV):
-        budget = int(os.environ[ROUND_BUDGET_ENV])
+        (budget,) = _ints(os.environ[ROUND_BUDGET_ENV], ROUND_BUDGET_ENV, 1)
     sep = analysis.separate_errors(x, y, args.k, budget)
     classified = analysis.classify_errors(sep.u, sep.v, sep.alignment)
     for e in classified:
@@ -266,25 +283,16 @@ def _segment(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
 _ANALYZE = {"sigma": _sigma, "classify": _classify, "segment": _segment}
 
 
-def _int_pair(text: str | None, flag: str) -> tuple[int, int] | None:
-    if not text:
-        return None
-    values = tuple(int(v) for v in text.split(","))
-    if len(values) != 2:
-        raise ValueError(f"{flag} needs two comma-separated integers, got {text!r}")
-    return values
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # every analyze flag is converted, so a malformed one fails whichever action runs
-    args.vector = tuple(int(v) for v in args.vector.split(",")) if args.vector else None
+    args.vector = _ints(args.vector, "--vector") if args.vector else None
     pair = None
     if args.x is not None or args.y is not None:
         if not (args.x and args.y):
             raise ValueError("--x and --y must be given together")
         pair = (parse_word(args.x), parse_word(args.y))
-    args.cut = _int_pair(args.cut, "--cut")
-    args.rel = _int_pair(args.rel, "--rel") or (None, None)
+    args.cut = _ints(args.cut, "--cut", 2) if args.cut else None
+    args.rel = _ints(args.rel, "--rel", 2) if args.rel else (None, None)
     if args.action == "sigma" and args.vector is None and pair is None:
         raise ValueError("analyze sigma needs --vector or --x/--y")
     if args.action in ("classify", "segment") and pair is None:
@@ -312,7 +320,12 @@ def _add_command(subs, name: str, handler, summary: str, params: bool = False):
     return sub
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared by
+    every caller, so none may change it.  Parsing leaves it unchanged: each
+    ``parse_args`` fills a fresh namespace, and help and usage are formatted
+    when printed, at the terminal width of that moment."""
     parser = argparse.ArgumentParser(
         prog="twoedit",
         description="Tools for binary codes correcting two insertions/deletions/substitutions.",

@@ -61,17 +61,6 @@ class SyndromeTuple:
     def to_kv(self) -> str:
         return f"n={self.n} s0={self.s0} s1={self.s1} s2={self.s2} s3={self.s3}"
 
-    @classmethod
-    def from_kv(cls, text: str) -> "SyndromeTuple":
-        fields = {}
-        for token in text.split():
-            key, _, value = token.partition("=")
-            fields[key] = int(value)
-        try:
-            return cls(fields["n"], fields["s0"], fields["s1"], fields["s2"], fields["s3"])
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc} in syndrome record {text!r}") from None
-
 
 def profile_sums(value: int, length: int, prev: int, j: int) -> tuple[int, int, int, int]:
     """Sums of the adjacency profile of the ``length`` bits of ``value`` (first

@@ -88,12 +88,6 @@ class Word:
     def __hash__(self) -> int:
         return hash((self._n, self._v))
 
-    def __lt__(self, other: "Word") -> bool:
-        return (self._n, self._v) < (other._n, other._v)
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word.from_int((self._v << other._n) | other._v, self._n + other._n)
-
     def __str__(self) -> str:
         return format(self._v, f"0{self._n}b") if self._n else ""
 

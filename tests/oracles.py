@@ -461,6 +461,18 @@ def syndrome_tuple_naive(x: Word) -> SyndromeTuple:
     return SyndromeTuple(n, sums[0] % m0, sums[1] % m1, sums[2] % m2, adjacency_count(padded) % m3)
 
 
+def syndrome_from_kv(text: str) -> SyndromeTuple:
+    """Parse ``SyndromeTuple.to_kv`` output back into the tuple."""
+    fields = {}
+    for token in text.split():
+        key, _, value = token.partition("=")
+        fields[key] = int(value)
+    try:
+        return SyndromeTuple(fields["n"], fields["s0"], fields["s1"], fields["s2"], fields["s3"])
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc} in syndrome record {text!r}") from None
+
+
 def zero_syndrome_forces_zero(z: Sequence[int]) -> bool:
     """Check one vector against the zero-forcing property.
 

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import multiprocessing
 import re
@@ -13,6 +15,7 @@ from twoedit.cli import (
     EXIT_USAGE,
     EXIT_VIOLATION,
     ROUND_BUDGET_ENV,
+    build_parser,
     main,
 )
 from twoedit.code import ENUM_CAP_ENV
@@ -196,12 +199,19 @@ def test_usage_errors(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("flag, text", (("--cut", "4,2,1"), ("--rel", "2")))
-def test_a_pair_flag_names_itself_on_a_wrong_count(capsys, flag, text):
-    argv = ["analyze", "segment", "--x", "00010", "--y", "01110", "--cut", "4,2", flag, text]
-    status, out, err = run_cli(capsys, *argv)
+@pytest.mark.parametrize(
+    "flag, text", (("--cut", "4,2,1"), ("--rel", "2"), ("--cut", "4,x"), ("--params", "8,x,2434,8"))
+)
+def test_a_flag_names_itself_on_a_bad_value(capsys, flag, text):
+    # the last occurrence of a flag wins, so each argv is valid up to the appended one
+    if flag == "--params":
+        argv, wanted = VALID_ARGV["decode"], "comma-separated integers"
+    else:
+        argv = ("analyze", "segment", "--x", "00010", "--y", "01110", "--cut", "4,2")
+        wanted = "two comma-separated integers"
+    status, out, err = run_cli(capsys, *argv, flag, text)
     assert status == EXIT_USAGE and out == ""
-    assert err == f"error: {flag} needs two comma-separated integers, got '{text}'\n"
+    assert err == f"error: {flag} needs {wanted}, got '{text}'\n"
 
 
 def test_verify_violation_exit_and_witness(capsys, monkeypatch):
@@ -441,3 +451,43 @@ def test_readme_examples_succeed(argv, capsys, monkeypatch):
     monkeypatch.setattr(SerialPool, "sizes", [])
     status, out, _ = run_cli(capsys, *argv)
     assert status == EXIT_OK and out
+
+
+def test_a_request_leaves_no_parser_behind(capsys):
+    def live_parsers():
+        return sum(isinstance(obj, argparse.ArgumentParser) for obj in gc.get_objects())
+
+    main(["syndrome", "0000001"])  # builds the process's parser
+    gc.collect()
+    gc.disable()  # a parser dropped by a request would now stay until collected
+    try:
+        before = live_parsers()
+        for _ in range(20):
+            main(["syndrome", "0000001"])
+        assert live_parsers() == before
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_reusing_the_parser_is_safe(capsys, monkeypatch):
+    build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    assert build_parser() is build_parser()
+    # help is formatted when printed, so it follows the width of that moment
+    monkeypatch.setenv("COLUMNS", "80")
+    (case,) = [case for case in GOLDEN if case["argv"] == ["--help"]]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert (exc.value.code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+    # a usage error leaves nothing behind for the next request
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--n"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+    status, out, _ = run_cli(capsys, *VALID_ARGV["decode"], "--machine")
+    assert (status, out) == (EXIT_OK, "record=decode received=0111011010 word=01011011010\n")
+    # a value converted by one request does not leak into the next
+    assert run_cli(capsys, "analyze", "sigma", "--vector", "1,2")[:2] == (EXIT_OK, "1\n")
+    status, out, _ = run_cli(capsys, "analyze", "sigma", "--x", "0110", "--y", "0101")
+    assert status == EXIT_OK and out.startswith("profile difference ")

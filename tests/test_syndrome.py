@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from oracles import invert, syndrome_tuple_naive, vt_weight_vector, zero_syndrome_forces_zero
+from oracles import (
+    invert,
+    syndrome_from_kv,
+    syndrome_tuple_naive,
+    vt_weight_vector,
+    zero_syndrome_forces_zero,
+)
 from twoedit.syndrome import (
     SyndromeTuple,
     moduli,
@@ -73,9 +79,9 @@ def test_pack_unpack_roundtrip():
 def test_kv_serialization_roundtrip():
     st_ = SyndromeTuple(7, 3, 26, 226, 2)
     assert st_.to_kv() == "n=7 s0=3 s1=26 s2=226 s3=2"
-    assert SyndromeTuple.from_kv(st_.to_kv()) == st_
+    assert syndrome_from_kv(st_.to_kv()) == st_
     with pytest.raises(ValueError):
-        SyndromeTuple.from_kv("n=7 s0=3")
+        syndrome_from_kv("n=7 s0=3")
 
 
 def test_sign_preserving_examples():
