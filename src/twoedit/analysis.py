@@ -22,12 +22,25 @@ shifts and masks, so each round's words are the next round's "before"
 words.  Only alignments from outside are checked: ``separate_errors`` trusts
 the one ``find_relation`` just built.
 
-The relation of a pair comes from one suffix-cost table for every shape.
-Its cell (i, j, a) is reached after consuming i symbols of x and j of y
-while x still owes a deletions; y then owes b = a + i - j, because both
-sides have matched i - (s - a) = j - (s - b) symbols.  Only 0 <= a, b <= 2
-occur, so a table has at most 9(n+1) cells, and since no cell depends on
-the total s, the cell (0, 0, s) prices every shape with s deletions a side.
+The relation of a pair comes from one family of reach sets for every shape.
+A state (i, j, a) has consumed i symbols of x and j of y while x still owes
+a deletions; y then owes b = a + i - j, because both sides have matched
+i - (s - a) = j - (s - b) symbols.  Only 0 <= a, b <= 2 occur, giving nine
+cells 3a + b, and since no cell depends on the total s, the cell a = b = s
+of row 0 prices every shape with s deletions a side.  Only costs 0..4 are
+ever read, so each cost t and cell is one integer: bit n - i of reach[t][k]
+is set iff the state of row i in cell k can finish with at most t
+mismatched pairs.  Each set is the least fixed point of its moves, built in
+order of t, then k.  Its seeds are row n of cell 0, a mismatch from
+reach[t - 1] of the same cell, a V deletion from cell k - 1 in the same row
+and a U deletion from cell k - 3 one row down; a match then climbs a run of
+equal pairs, and one addition carries every seed up its run at once
+(Myers' bit-parallel edit distance works the same way).  A walk along an
+optimal path asks at each step whether a move's next state costs exactly
+the remaining rem, less the move's price.  A state costs at most a move's
+price plus the cost of the move's next state, so that next state never
+costs less, and "exactly" is "at most": one bit of reach[rem], or of
+reach[rem - 1] after a substitution.
 
 All positions below are 1-based, matching the convention used by error
 patterns and reports.
@@ -37,6 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .words import Word, pad
@@ -306,80 +320,101 @@ def segment_once(x: Word, y: Word, alignment: Alignment, cut: tuple[int, int]) -
 
 # --- canonical alignment search -------------------------------------------
 
-_INF = 1 << 20
+# (a, b, 3a + b, a - b + 2): a cell, its index in a level and the index of its
+# offset d = j - i = a - b in the per-offset masks, b ascending within each a
+_CELLS = tuple((a, b, 3 * a + b, a - b + 2) for a in range(3) for b in range(3))
+_MAX_COST = 4  # the 2r of the largest shape, r = 2
 
 
-# (a, b, index of the cell in its row), b ascending within each a
-_CELLS = tuple((a, b, 3 * a + b) for a in range(3) for b in range(3))
+def _span(lo: int, hi: int) -> int:
+    """Bits lo..hi set, none if hi < lo."""
+    return ((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0
 
 
-def _suffix_costs(x: Word, y: Word) -> list[list[int]]:
-    """g[i][3a + b]: fewest mismatched pairs finishing the alignment after
-    consuming i of x and j of y, while x still owes a deletions and y owes
-    b = a + i - j, 0 <= a, b <= 2 (deletions and mismatches are restricted
-    to interior positions).  No cell depends on s: g[0][4s] is the cost of
-    every shape with s deletions a side."""
+@lru_cache(maxsize=256)
+def _row_masks(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Masks of the rows i (bit n - i) of length-n reach sets: those whose U
+    symbol is interior, i in [1, n - 2]; and for each offset d = j - i in
+    -2..2, those pairing two symbols, i and j in [0, n - 1], and those whose
+    V symbol is interior, i in [0, n - 1] and j in [1, n - 2]."""
+    pairs = tuple(_span(max(1, 1 + d), min(n, n + d)) for d in range(-2, 3))
+    del_v = tuple(_span(max(1, 2 + d), min(n, n - 1 + d)) for d in range(-2, 3))
+    return _span(2, n - 1), pairs, del_v
+
+
+def _fill_runs(seed: int, runs: int) -> int:
+    """``seed`` closed under "bit p set and bit p + 1 in ``runs`` sets bit
+    p + 1": each seed bit climbs the run of ``runs`` bits just above it.
+    One addition carries through every run that a seed bit enters."""
+    carry = (seed << 1) & runs
+    return seed | carry | (runs & ((runs + carry) ^ runs))
+
+
+def _reach_sets(x: Word, y: Word) -> list[list[int]]:
+    """reach[t][3a + b]: bit n - i is set iff the alignment can be finished
+    with at most t mismatched pairs after consuming i of x and j of y, while
+    x still owes a deletions and y owes b = a + i - j, 0 <= a, b <= 2, for
+    t = 0..4 (deletions and mismatches are restricted to interior
+    positions).  No cell depends on s: bit n of reach[t][4s] tells whether
+    a shape with s deletions a side fits t mismatches."""
     n = len(x)
-    xb, yb = tuple(x), tuple(y)
-    g = [[_INF] * 9 for _ in range(n + 1)]
-    # Row n: with x consumed, y can only finish by deletions, and its last
-    # symbol is not interior, so every cell but the final one stays infinite.
-    g[n][0] = 0
-    for i in range(n - 1, -1, -1):
-        gi, gi1 = g[i], g[i + 1]
-        interior_u = 2 <= i + 1 <= n - 1
-        for a, b, k in _CELLS:
-            j = i + a - b
-            if not 0 <= j <= n:
-                continue
-            best = _INF
-            if j < n:
-                if xb[i] == yb[j]:
-                    best = gi1[k]
-                elif interior_u:
-                    best = 1 + gi1[k]
-                if b and 2 <= j + 1 <= n - 1 and gi[k - 1] < best:
-                    best = gi[k - 1]
-            if a and interior_u and gi1[k - 3] < best:
-                best = gi1[k - 3]
-            gi[k] = best
-    return g
+    interior, pairs, del_v = _row_masks(n)
+    xv, yv = x.value << 1, y.value
+    equal, unequal = [], []
+    for e in range(5):  # the offset d = e - 2 puts y[i + d] beside x[i]
+        diff = xv ^ (yv << (e - 1) if e else yv >> 1)
+        equal.append(pairs[e] & ~diff)
+        unequal.append(pairs[e] & diff & interior)
+    reach = []
+    below = [0] * 9
+    for _ in range(_MAX_COST + 1):
+        level: list[int] = []
+        for a, b, k, e in _CELLS:
+            seed = unequal[e] & (below[k] << 1)
+            if not k:
+                seed |= 1  # row n with nothing owed
+            if b:
+                seed |= del_v[e] & level[k - 1]
+            if a:
+                seed |= interior & (level[k - 3] << 1)
+            level.append(_fill_runs(seed, equal[e]))
+        reach.append(level)
+        below = level
+    return reach
 
 
-def _reconstruct(x: Word, y: Word, s: int, g) -> tuple[list[int], list[int], list[int]]:
+def _reconstruct(x: Word, y: Word, s: int, reach) -> tuple[list[int], list[int], list[int]]:
     """U deletions, substitutions (U positions) and V deletions of the
     leftmost optimal alignment, preferring match > sub > del_u > del_v."""
     n = len(x)
-    xb, yb = tuple(x), tuple(y)
+    xs, ys = str(x), str(y)
     i = j = 0
     a = b = s
-    rem = g[0][4 * s]
+    rem = next(t for t, level in enumerate(reach) if level[4 * s] >> n & 1)
     dels_u: list[int] = []
     subs: list[int] = []
     dels_v: list[int] = []
     while i < n or j < n:
-        if i < n and j < n and xb[i] == yb[j] and g[i + 1][3 * a + b] == rem:
-            i += 1
-            j += 1
-            continue
-        if (
-            i < n
-            and j < n
-            and xb[i] != yb[j]
-            and 2 <= i + 1 <= n - 1
-            and g[i + 1][3 * a + b] == rem - 1
-        ):
-            subs.append(i + 1)
-            i += 1
-            j += 1
-            rem -= 1
-            continue
-        if i < n and a and 2 <= i + 1 <= n - 1 and g[i + 1][3 * a - 3 + b] == rem:
+        k = 3 * a + b
+        row = n - 1 - i  # the bit of row i + 1
+        if i < n and j < n:
+            if xs[i] == ys[j]:
+                if reach[rem][k] >> row & 1:
+                    i += 1
+                    j += 1
+                    continue
+            elif rem and 2 <= i + 1 <= n - 1 and reach[rem - 1][k] >> row & 1:
+                subs.append(i + 1)
+                i += 1
+                j += 1
+                rem -= 1
+                continue
+        if i < n and a and 2 <= i + 1 <= n - 1 and reach[rem][k - 3] >> row & 1:
             dels_u.append(i + 1)
             i += 1
             a -= 1
             continue
-        if j < n and b and 2 <= j + 1 <= n - 1 and g[i][3 * a + b - 1] == rem:
+        if j < n and b and 2 <= j + 1 <= n - 1 and reach[rem][k - 1] >> (row + 1) & 1:
             dels_v.append(j + 1)
             j += 1
             b -= 1
@@ -397,17 +432,18 @@ def find_relation(
     """A relation carrying ``x`` to ``y``: s interior deletions on each side
     plus 2r substitution pairs (trivial fills added to reach an even count).
     By default the smallest relation (s + r, then s) is chosen; passing s
-    and/or r pins the shape.  One cost table is built per call and serves
-    every shape: the fewest mismatches with s deletions a side is its cell
-    (0, 0, s), where x still owes a = s deletions and y owes
-    b = a + i - j = s.  Raises NoRelationError if nothing fits within
-    s + r = 2."""
+    and/or r pins the shape.  One family of reach sets is built per call
+    and serves every shape: s deletions a side fit 2r mismatches when row 0
+    of cell a = b = s is in reach[2r], where x still owes a = s deletions
+    and y owes b = a + i - j = s.  Raises NoRelationError if nothing fits
+    within s + r = 2."""
     if len(x) != len(y):
         raise ValueError("related words must have equal length")
-    g = _suffix_costs(x, y)
+    reach = _reach_sets(x, y)
+    top = 1 << len(x)
     for cs, cr in _RELATION_ORDER:
-        if (s is None or cs == s) and (r is None or cr == r) and g[0][4 * cs] <= 2 * cr:
-            dels_u, subs, dels_v = _reconstruct(x, y, cs, g)
+        if (s is None or cs == s) and (r is None or cr == r) and reach[2 * cr][4 * cs] & top:
+            dels_u, subs, dels_v = _reconstruct(x, y, cs, reach)
             subs = _with_trivial_fills(subs, dels_u, 2 * cr, len(x))
             return cs, cr, Alignment(tuple(dels_u), subs, tuple(dels_v))
     shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"

@@ -60,7 +60,10 @@ class ResourceCapError(RuntimeError):
 def enumeration_cap(cap: int | None = None) -> int:
     if cap is None:
         env = os.environ.get(ENUM_CAP_ENV)
-        cap = int(env) if env else DEFAULT_ENUMERATION_CAP
+        try:
+            cap = int(env) if env else DEFAULT_ENUMERATION_CAP
+        except ValueError:
+            raise ValueError(f"{ENUM_CAP_ENV} needs an integer, got {env!r}") from None
     if cap < 0:
         raise ValueError(f"enumeration cap must be at least 0, got {cap}")
     return cap

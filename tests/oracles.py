@@ -558,8 +558,8 @@ def scan_pairwise_distance(n: int, mode: str) -> SweepReport:
 
 
 # --- relation search, one table per shape ----------------------------------
-# The reference for analysis.find_relation's single banded table.  The shape
-# order is the library's own.
+# The reference for analysis.find_relation.  The shape order is the
+# library's own.
 
 _INF = 1 << 20
 
@@ -701,6 +701,99 @@ def find_relation_per_shape(
     raise NoRelationError(
         f"no relation{shape} with at most two deletions+substitutions joins {x} and {y}"
     )
+
+# --- relation search, one banded table for every shape ----------------------
+# The cell-level reference for analysis._reach_sets and its walk: the table
+# holds every cost, where the reach sets hold each cost's rows as bits.
+
+# (a, b, index of the cell in its row), b ascending within each a
+_BANDED_CELLS = tuple((a, b, 3 * a + b) for a in range(3) for b in range(3))
+
+
+def banded_suffix_costs(x: Word, y: Word) -> list[list[int]]:
+    """g[i][3a + b]: fewest mismatched pairs finishing the alignment after
+    consuming i of x and j of y, while x still owes a deletions and y owes
+    b = a + i - j, 0 <= a, b <= 2 (deletions and mismatches are restricted
+    to interior positions).  No cell depends on s: g[0][4s] is the cost of
+    every shape with s deletions a side."""
+    n = len(x)
+    xb, yb = tuple(x), tuple(y)
+    g = [[_INF] * 9 for _ in range(n + 1)]
+    # Row n: with x consumed, y can only finish by deletions, and its last
+    # symbol is not interior, so every cell but the final one stays infinite.
+    g[n][0] = 0
+    for i in range(n - 1, -1, -1):
+        gi, gi1 = g[i], g[i + 1]
+        interior_u = 2 <= i + 1 <= n - 1
+        for a, b, k in _BANDED_CELLS:
+            j = i + a - b
+            if not 0 <= j <= n:
+                continue
+            best = _INF
+            if j < n:
+                if xb[i] == yb[j]:
+                    best = gi1[k]
+                elif interior_u:
+                    best = 1 + gi1[k]
+                if b and 2 <= j + 1 <= n - 1 and gi[k - 1] < best:
+                    best = gi[k - 1]
+            if a and interior_u and gi1[k - 3] < best:
+                best = gi1[k - 3]
+            gi[k] = best
+    return g
+
+
+def banded_reconstruct(x: Word, y: Word, s: int, g) -> tuple[list[int], list[int], list[int]]:
+    """U deletions, substitutions (U positions) and V deletions of the
+    leftmost optimal alignment, preferring match > sub > del_u > del_v."""
+    n = len(x)
+    xb, yb = tuple(x), tuple(y)
+    i = j = 0
+    a = b = s
+    rem = g[0][4 * s]
+    dels_u: list[int] = []
+    subs: list[int] = []
+    dels_v: list[int] = []
+    while i < n or j < n:
+        if i < n and j < n and xb[i] == yb[j] and g[i + 1][3 * a + b] == rem:
+            i += 1
+            j += 1
+            continue
+        if (
+            i < n
+            and j < n
+            and xb[i] != yb[j]
+            and 2 <= i + 1 <= n - 1
+            and g[i + 1][3 * a + b] == rem - 1
+        ):
+            subs.append(i + 1)
+            i += 1
+            j += 1
+            rem -= 1
+            continue
+        if i < n and a and 2 <= i + 1 <= n - 1 and g[i + 1][3 * a - 3 + b] == rem:
+            dels_u.append(i + 1)
+            i += 1
+            a -= 1
+            continue
+        if j < n and b and 2 <= j + 1 <= n - 1 and g[i][3 * a + b - 1] == rem:
+            dels_v.append(j + 1)
+            j += 1
+            b -= 1
+            continue
+        raise AssertionError("alignment reconstruction lost the optimal path")
+    return dels_u, subs, dels_v
+
+
+def fill_runs_bitwise(seed: int, runs: int) -> int:
+    """``seed`` closed bit by bit under "bit p set and bit p + 1 in ``runs``
+    sets bit p + 1"."""
+    out = seed
+    for p in range(max(seed.bit_length(), runs.bit_length())):
+        if out >> p & 1 and runs >> (p + 1) & 1:
+            out |= 1 << (p + 1)
+    return out
+
 
 # --- separation on int lists ------------------------------------------------
 # The reference for analysis.separate_errors: the state copies both words into

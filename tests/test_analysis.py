@@ -369,10 +369,50 @@ def test_find_relation_matches_the_per_shape_search_on_padded_pairs(n):
         assert _relation_outcomes(find_relation, x, y) == expected, (x, y)
 
 
+# maps the digit of a cost capped at 5 to "1" iff the cost is at most t
+_AT_MOST = [str.maketrans("012345", "1" * (t + 1) + "0" * (5 - t)) for t in range(5)]
+
+
+def _assert_reach_sets_match_the_banded_table(x, y):
+    """Bit n - i of reach[t][k] is set iff g[i][k] <= t, and each shape's walk
+    takes the table's path."""
+    reach = analysis._reach_sets(x, y)
+    g = oracles.banded_suffix_costs(x, y)
+    for k in range(9):
+        column = "".join([str(min(row[k], 5)) for row in g])  # row 0 first: bit n
+        for t in range(5):
+            assert reach[t][k] == int(column.translate(_AT_MOST[t]), 2), (x, y, t, k)
+    for s in range(3):
+        if g[0][4 * s] <= 4:
+            walk = analysis._reconstruct(x, y, s, reach)
+            assert walk == oracles.banded_reconstruct(x, y, s, g), (x, y, s)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_reach_sets_match_the_banded_table_exhaustive(n):
+    words = [Word.from_int(v, n) for v in range(1 << n)]
+    for x, y in product(words, repeat=2):
+        _assert_reach_sets_match_the_banded_table(x, y)
+
+
+@pytest.mark.parametrize("n", (24, 48, 64, 128))
+def test_reach_sets_match_the_banded_table_on_padded_pairs(n):
+    rng = random.Random(700 + n)
+    for _ in range(60):
+        x, y = (pad(w) for w in oracles.random_confusable_pair(rng, n - 2))
+        _assert_reach_sets_match_the_banded_table(x, y)
+
+
+def test_fill_runs_matches_the_bitwise_closure():
+    for seed, runs in product(range(1 << 8), repeat=2):
+        expected = oracles.fill_runs_bitwise(seed, runs)
+        assert analysis._fill_runs(seed, runs) == expected, (seed, runs)
+
+
 def test_find_relation_builds_one_table_per_call(monkeypatch):
     tables = []
-    build = analysis._suffix_costs
-    monkeypatch.setattr(analysis, "_suffix_costs", lambda x, y: tables.append(1) or build(x, y))
+    build = analysis._reach_sets
+    monkeypatch.setattr(analysis, "_reach_sets", lambda x, y: tables.append(1) or build(x, y))
     cases = (
         ((Word("00010"), Word("01110")), (None, None), 0),
         ((Word("00011000"), Word("01100110")), (None, None), 2),

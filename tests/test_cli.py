@@ -214,6 +214,20 @@ def test_a_flag_names_itself_on_a_bad_value(capsys, flag, text):
     assert err == f"error: {flag} needs {wanted}, got '{text}'\n"
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    (
+        (ENUM_CAP_ENV, ("census", "--n", "9")),
+        (ROUND_BUDGET_ENV, ("analyze", "classify", "--x", "0001011", "--y", "0110001")),
+    ),
+)
+def test_an_environment_variable_names_itself_on_a_bad_value(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv(name, "x")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_USAGE and out == ""
+    assert err == f"error: {name} needs an integer, got 'x'\n"
+
+
 def test_verify_violation_exit_and_witness(capsys, monkeypatch):
     from twoedit.code import DistanceViolation, SweepReport
     from twoedit.words import Word

@@ -199,6 +199,9 @@ def test_enumeration_cap():
     try:
         with pytest.raises(ResourceCapError):
             bucket_census(7)
+        os.environ["TWOEDIT_ENUM_CAP"] = "x"
+        with pytest.raises(ValueError, match="^TWOEDIT_ENUM_CAP needs an integer, got 'x'$"):
+            enumeration_cap()
     finally:
         del os.environ["TWOEDIT_ENUM_CAP"]
 
