@@ -102,21 +102,30 @@ def format_pattern(p: ErrorPattern) -> str:
 
 
 def apply_errors(x: Word, p: ErrorPattern) -> Word:
-    """Apply a pattern to ``x``; result length is |x| + t - s."""
+    """Apply a pattern to ``x``; result length is |x| + t - s.
+
+    Each edit is a shift and a mask on the packed value.  Substitutions
+    keep the length, so they act at once; deletions and insertions then go
+    left to right, which leaves the bits to the right of each edit as they
+    were in ``x``: an edit with k bits of ``x`` to its right acts at bit k.
+    """
     n = len(x)
     p.validate_for(n)
-    subbed = dict(p.substitutions)
-    deleted = set(p.deletions)
-    by_gap: dict[int, list[int]] = {}
-    for gap, sym in p.insertions:
-        by_gap.setdefault(gap, []).append(sym)
-    out: list[int] = []
-    for g in range(n + 1):
-        out.extend(by_gap.get(g, ()))
-        pos = g + 1
-        if pos <= n and pos not in deleted:
-            out.append(subbed.get(pos, x[g]))
-    return Word(out)
+    v = x.value
+    for pos, sym in p.substitutions:
+        v = v & ~(1 << (n - pos)) | sym << (n - pos)
+    # symbol pos sits between gaps pos - 1 and pos; the sort is stable, so
+    # insertions at one gap keep their order
+    edits = [(2 * pos - 1, n - pos, None) for pos in p.deletions]
+    edits += [(2 * gap, n - gap, sym) for gap, sym in p.insertions]
+    edits.sort(key=lambda e: e[0])
+    for _, k, sym in edits:
+        low = v & ((1 << k) - 1)
+        if sym is None:
+            v = v >> (k + 1) << k | low
+        else:
+            v = (v >> k << 1 | sym) << k | low
+    return Word.from_int(v, n + len(p.insertions) - len(p.deletions))
 
 
 def edit_distance(x: Word, y: Word) -> int:

@@ -11,17 +11,20 @@ shard results merged associatively.
 
 Census, grouping and enumeration share one split-word sweep.  A word is a
 head ``hi`` of h = n // 2 bits followed by a tail ``lo`` of t = n - h bits.
-From weight h + 2 on, the padded profile is the head's adjacency count
-``c_hi`` plus the profile of ``lo`` entered after the last bit of ``hi``
-(with the right pad appended), so each weighted sum splits as
+Each weighted sum is ``count * P_k(n + 2)`` minus a sum over the word's
+transition bits (see ``syndrome``), and both split at the head: the h bits
+of ``hi ^ (hi >> 1)`` are the transitions into the head, and the low t + 1
+bits of ``v ^ (v << 1)`` those into the tail and the right pad, which depend
+only on ``lo`` and the last bit of ``hi``.  With ``c_hi`` and ``lc`` the
+popcounts of the two masks and ``H_k`` and ``L_k`` their transition sums,
 
-    S_k(hi) + c_hi * W_k + L_k(lastbit(hi), lo),   W_k = sum of j^k, j = h+2..n+2
+    s_k = (c_hi * P_k(n + 2) - H_k(hi)) + (lc * P_k(n + 2) - L_k(lastbit(hi), lo))
 
-and the padded adjacency count as ``c_hi + L_c(lastbit(hi), lo)``.  The tail
-table L is built once per sweep, one row of 2^t entries for each head count
-c = 0..h (c fixes the head's last bit: it is odd iff that bit is 1).  Each
-word then costs additions and one mixed-radix pack of its four reduced sums.
-With the moduli of ``moduli(n)`` as radices the pack is
+and the padded adjacency count is ``c_hi + lc``.  The tail table is built
+once per sweep, one row of 2^t entries for each head count c = 0..h (c fixes
+the head's last bit: it is odd iff that bit is 1).  Each word then costs
+additions and one mixed-radix pack of its four reduced sums.  With the
+moduli of ``moduli(n)`` as radices the pack is
 ``SyndromeTuple.pack``.  The exact sweep packs with radices (n+2)^2,
 (n+2)^3, (n+2)^4 and n+2: the count is at most n+1 and sum k is below
 (n+1) * (n+2)^(k+1), so every reduction is the identity and the key holds
@@ -45,7 +48,8 @@ from .syndrome import (
     SyndromeTuple,
     moduli,
     padded_weight_sums,
-    profile_sums,
+    power_sums,
+    transition_sums,
 )
 from .words import Word
 
@@ -152,22 +156,32 @@ def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[in
     p1 = r2 * p2
     p0 = r1 * p1
     q0, q1, q2 = r0 * p0, r1 * p1, r2 * p2
-    w0, w1, w2 = (sum(j**k for j in range(h + 2, n + 3)) for k in range(3))
-    # each tail with the right pad appended, entered after each last head bit
-    tails = [
-        [profile_sums(lo << 1, t + 1, last, h + 2) for lo in range(1 << t)] for last in (0, 1)
-    ]
+    f0, f1, f2 = power_sums(n + 2)
+    # each tail's terms: the transitions into the tail and the right pad,
+    # entered after each last head bit, at their places in the n + 1 bit mask
+    low = (1 << (t + 1)) - 1
+    tails = []
+    for last in (0, 1):
+        row = []
+        for v in range(last << t, (last + 1) << t):
+            m = (v ^ (v << 1)) & low
+            lc = m.bit_count()
+            l0, l1, l2 = transition_sums(m, n + 1)
+            row.append(((lc * f0 - l0) * p0, (lc * f1 - l1) * p1, (lc * f2 - l2) * p2, lc))
+        tails.append(row)
     # One row per head count c, which fixes the head's last bit; the reduced
     # count (c + lc) % r3 is below p2, so it rides in the third term.
     rows = [
-        [(l0 * p0, l1 * p1, l2 * p2 + (c + lc) % r3) for l0, l1, l2, lc in tails[c & 1]]
+        [(l0, l1, l2 + (c + lc) % r3) for l0, l1, l2, lc in tails[c & 1]]
         for c in range(h + 1)
     ]
     for hi in range(1 << h):
-        a0, a1, a2, c = profile_sums(hi, h, 0, 2)
-        a0 = (a0 + c * w0) * p0
-        a1 = (a1 + c * w1) * p1
-        a2 = (a2 + c * w2) * p2
+        m = hi ^ (hi >> 1)
+        c = m.bit_count()
+        a0, a1, a2 = transition_sums(m, h)
+        a0 = (c * f0 - a0) * p0
+        a1 = (c * f1 - a1) * p1
+        a2 = (c * f2 - a2) * p2
         yield hi << t, [(a0 + l0) % q0 + (a1 + l1) % q1 + (a2 + l2) % q2 for l0, l1, l2 in rows[c]]
 
 

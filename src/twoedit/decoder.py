@@ -3,14 +3,15 @@
 The decoder enumerates every length-n preimage of the received word under at
 most two insertions/deletions/substitutions and keeps the ones lying in the
 code.  Candidates are packed values (first symbol = most significant bit):
-each edit is a shift and a mask on the received word's value, and membership
-is tested on the value, so only the surviving codeword becomes a ``Word``.
-Verified parameters guarantee at most one survivor.
+the words one edit away are built per edit kind as one list of shifts and
+masks on the value.  Membership is tested on the value too: the padded
+adjacency count (a popcount) rejects most candidates, and the rest cost one
+table lookup per byte for the weighted sums (see ``syndrome``), so only the
+surviving codeword becomes a ``Word``.  Verified parameters guarantee at
+most one survivor.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .code import CodeParams, is_codeword, member_value
 from .words import Word
@@ -34,24 +35,25 @@ class ReceivedLengthError(DecodeError):
     """Received length differs from the code length by more than two."""
 
 
-def _single_edits(v: int, m: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """Every ``(value, length)`` one edit away from the length-m word ``v``
-    whose length lies in [lo, hi].
+def _single_edits(v: int, m: int, target: int) -> list[int]:
+    """The words of length ``target`` (m - 1, m or m + 1) one edit away from
+    the length-m word ``v``, with repeats.
 
-    ``k`` counts the bits to the right of the edited position or gap: delete
-    bit k, flip bit k, or insert 0 or 1 with k bits to its right.
+    ``k`` counts the bits to the right of the edited position or gap: flip
+    bit k, delete it, or insert a bit with k bits to its right.  A deletion
+    or insertion keeps v's bits below k and takes the bits from k up from
+    ``v >> 1`` or ``v << 1``: with ``w`` that word xor ``v``,
+    ``v ^ (w & -(1 << k))`` does both.  An inserted bit comes out a copy of
+    its right neighbour; flipping it gives the other symbol.
     """
-    if lo <= m - 1 <= hi:
-        for k in range(m):
-            yield (v >> (k + 1) << k) | (v & ((1 << k) - 1)), m - 1
-    if lo <= m <= hi:
-        for k in range(m):
-            yield v ^ (1 << k), m
-    if lo <= m + 1 <= hi:
-        for k in range(m + 1):
-            spread = (v >> k << (k + 1)) | (v & ((1 << k) - 1))
-            yield spread, m + 1
-            yield spread | (1 << k), m + 1
+    if target == m:
+        return [v ^ (1 << k) for k in range(m)]
+    if target == m - 1:
+        w = v ^ (v >> 1)
+        return [v ^ (w & -(1 << k)) for k in range(m)]
+    w = v ^ (v << 1)
+    copies = [v ^ (w & -(1 << k)) for k in range(m + 1)]
+    return copies + [c ^ (1 << k) for k, c in enumerate(copies)]
 
 
 def candidate_preimages(received: Word, n: int) -> set[int]:
@@ -62,8 +64,7 @@ def candidate_preimages(received: Word, n: int) -> set[int]:
     every word within one edit is also exactly two edits away (flip a bit
     twice; flip a bit, then delete it; insert a bit, then flip it; delete a
     bit, then insert its complement there).  A first edit is kept only if its
-    length is within one of n; the second must land on length n and streams
-    straight into the result.
+    length is within one of n; the second must land on length n.
     """
     v, m = received.value, len(received)
     if abs(m - n) > MAX_EDITS:
@@ -71,9 +72,10 @@ def candidate_preimages(received: Word, n: int) -> set[int]:
             f"received length {m} outside [{n - MAX_EDITS}, {n + MAX_EDITS}]"
         )
     out: set[int] = set()
-    # a run of equal bits gives the same deletion, so dedupe before expanding
-    for v1, m1 in set(_single_edits(v, m, n - 1, n + 1)):
-        out.update(v2 for v2, _ in _single_edits(v1, m1, n, n))
+    for m1 in range(max(m, n) - 1, min(m, n) + 2):
+        # a run of equal bits gives the same deletion, so dedupe before expanding
+        for v1 in set(_single_edits(v, m, m1)):
+            out.update(_single_edits(v1, m1, n))
     return out
 
 

@@ -4,6 +4,16 @@ A word of length n >= 7 is summarized by four residues computed from the
 adjacency profile of its padded form: the profile dotted with the weight
 vectors (1^i, 2^i, ..., (n+2)^i) for i = 0, 1, 2, reduced mod 4n, 2n^2 and
 2n^3, plus the padded adjacency count mod 9.
+
+The weighted sums are linear in the transition bits.  Entry F_j of the padded
+word's profile (indices 1..N, N = n + 2) counts the transitions into indices
+t <= j, so with P_k(x) = 1^k + 2^k + ... + x^k and T the set of those t,
+
+    s_k = |T| * P_k(N) - sum of P_k(t - 1) over t in T.
+
+The subtracted sum depends only on each transition's position from the left,
+not on n, so one set of byte tables serves every length: a word costs one
+lookup per byte of its transition mask, a popcount and three multiply-subtracts.
 """
 
 from __future__ import annotations
@@ -62,32 +72,66 @@ class SyndromeTuple:
         return f"n={self.n} s0={self.s0} s1={self.s1} s2={self.s2} s3={self.s3}"
 
 
-def profile_sums(value: int, length: int, prev: int, j: int) -> tuple[int, int, int, int]:
-    """Sums of the adjacency profile of the ``length`` bits of ``value`` (first
-    bit most significant) entered after symbol ``prev``, at weights j, j+1, ...
-    with powers 0, 1, 2; the fourth entry is the adjacency count."""
-    count = s0 = s1 = s2 = 0
-    for shift in range(length - 1, -1, -1):
-        bit = (value >> shift) & 1
-        if bit != prev:
-            count += 1
-        prev = bit
-        s0 += count
-        s1 += count * j
-        s2 += count * j * j
-        j += 1
-    return s0, s1, s2, count
+def power_sums(x: int) -> tuple[int, int, int]:
+    """P_k(x) = 1^k + 2^k + ... + x^k for k = 0, 1, 2."""
+    return x, x * (x + 1) // 2, x * (x + 1) * (2 * x + 1) // 6
+
+
+# A packed entry holds three sums, sum k in bits [k * _FIELD_BITS, (k + 1) *
+# _FIELD_BITS).  All are non-negative, so the fields never borrow; the
+# largest is sum 2 over every position of a length-m mask, m(m+1)^2(m+2)/12,
+# which stays below 2^128 while m <= 7 993 834 869: a word of about 8e9 bits,
+# whose 1e9 rows could never be held in memory.
+_FIELD_BITS = 128
+_FIELD = (1 << _FIELD_BITS) - 1
+_rows: tuple[list[int], ...] = ()  # row c: byte c of a mask from the left
+_entry = list.__getitem__
+
+
+def _row(c: int) -> list[int]:
+    """Packed sums of every byte whose leftmost bit sits at position 8c."""
+    row = [0]
+    for i in range(8):  # bit i of the byte, at position p = 8c + 7 - i, weighs P_k(p + 1)
+        s0, s1, s2 = power_sums(8 * c + 8 - i)
+        w = s0 | s1 << _FIELD_BITS | s2 << 2 * _FIELD_BITS
+        row += [e + w for e in row]
+    return row
+
+
+def transition_sums(mask: int, length: int) -> tuple[int, int, int]:
+    """Sum of P_k(p + 1) over the set bits of the ``length``-bit ``mask``,
+    p being a bit's 0-based position from the left, for k = 0, 1, 2.
+
+    One table lookup per byte: the rows depend only on the position, so
+    every length shares them, and they are built up to the longest mask
+    seen.
+    """
+    global _rows
+    chunks = (length + 7) >> 3
+    rows = _rows
+    if len(rows) < chunks:
+        # a new tuple, never one extended in place, keeps row c at index c
+        # even if two threads grow the rows at once
+        _rows = rows = rows + tuple(_row(c) for c in range(len(rows), chunks))
+    packed = sum(map(_entry, rows, (mask << (-length & 7)).to_bytes(chunks, "big")))
+    return packed & _FIELD, packed >> _FIELD_BITS & _FIELD, packed >> 2 * _FIELD_BITS
 
 
 def padded_weight_sums(value: int, n: int) -> tuple[int, int, int, int]:
     """Exact dot products of the padded profile with the three weight vectors.
 
     ``value`` is the packed word (first symbol = most significant bit).
-    Returns (sum0, sum1, sum2, padded adjacency count), unreduced.  Single
-    pass; the profile and weight vectors are never materialized.  The left
-    pad only sets the first ``prev``: its profile entry, at weight 1, is 0.
+    Returns (sum0, sum1, sum2, padded adjacency count), unreduced.  Bit b of
+    ``value ^ (value << 1)`` marks a transition into padded index t = n + 2 - b,
+    which adds 1 to F_j for every j >= t, so sum k is
+    count * P_k(n + 2) - (sum of P_k(t - 1) over the transitions), the
+    subtracted part read off the mask's n + 1 bits by ``transition_sums``.
     """
-    return profile_sums(value << 1, n + 1, 0, 2)
+    mask = value ^ (value << 1)
+    q0, q1, q2 = transition_sums(mask, n + 1)
+    count = mask.bit_count()
+    f0, f1, f2 = power_sums(n + 2)
+    return count * f0 - q0, count * f1 - q1, count * f2 - q2, count
 
 
 def syndrome_tuple(x: Word) -> SyndromeTuple:

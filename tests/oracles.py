@@ -33,7 +33,6 @@ from twoedit.syndrome import (
     MIN_CODE_LENGTH,
     SyndromeTuple,
     moduli,
-    padded_weight_sums,
     sign_preserving_number,
 )
 from twoedit.words import Word, adjacency_count, adjacency_profile, pad
@@ -405,6 +404,26 @@ def all_patterns(n: int, max_edits: int = 2):
                 yield from exact_patterns(n, t, s, r)
 
 
+def apply_errors_list(x: Word, p: ErrorPattern) -> Word:
+    """``channel.apply_errors`` symbol by symbol: walk the gaps left to
+    right, writing each gap's insertions, then the next symbol unless it is
+    deleted, substituted if it is."""
+    n = len(x)
+    p.validate_for(n)
+    subbed = dict(p.substitutions)
+    deleted = set(p.deletions)
+    by_gap: dict[int, list[int]] = {}
+    for gap, sym in p.insertions:
+        by_gap.setdefault(gap, []).append(sym)
+    out: list[int] = []
+    for g in range(n + 1):
+        out.extend(by_gap.get(g, ()))
+        pos = g + 1
+        if pos <= n and pos not in deleted:
+            out.append(subbed.get(pos, x[g]))
+    return Word(out)
+
+
 def error_ball(x: Word, t: int, s: int, r: int) -> set[Word]:
     """All words reachable from ``x`` by exactly t insertions, s deletions,
     and r substitutions (trivial substitutions included), deduplicated."""
@@ -499,15 +518,52 @@ def confusable_within(x: Word, y: Word, budget: int) -> bool:
     return edit_distance_dp(x, y) <= 2 * budget
 
 
+def profile_sums(value: int, length: int, prev: int, j: int) -> tuple[int, int, int, int]:
+    """Sums of the adjacency profile of the ``length`` bits of ``value`` (first
+    bit most significant) entered after symbol ``prev``, at weights j, j+1, ...
+    with powers 0, 1, 2; the fourth entry is the adjacency count.  One bit at
+    a time."""
+    count = s0 = s1 = s2 = 0
+    for shift in range(length - 1, -1, -1):
+        bit = (value >> shift) & 1
+        if bit != prev:
+            count += 1
+        prev = bit
+        s0 += count
+        s1 += count * j
+        s2 += count * j * j
+        j += 1
+    return s0, s1, s2, count
+
+
+def padded_weight_sums_loop(value: int, n: int) -> tuple[int, int, int, int]:
+    """``syndrome.padded_weight_sums`` by the bit loop: the word with its
+    right pad, entered after the left pad, whose profile entry at weight 1
+    is 0."""
+    return profile_sums(value << 1, n + 1, 0, 2)
+
+
+def transition_sums_loop(mask: int, length: int) -> tuple[int, int, int]:
+    """``syndrome.transition_sums`` bit by bit: P_k(p + 1) summed over the
+    set bits of the ``length``-bit mask, p counted from the left."""
+    sums = [0, 0, 0]
+    prefix = [0, 0, 0]  # P_0, P_1, P_2 of p + 1
+    for p in range(length):
+        prefix = [prefix[k] + (p + 1) ** k for k in range(3)]
+        if mask >> (length - 1 - p) & 1:
+            sums = [a + b for a, b in zip(sums, prefix)]
+    return sums[0], sums[1], sums[2]
+
+
 def sweep_keys(n: int, exact: bool) -> list[tuple[int, int, int, int]]:
     """Per word, in ascending packed value: the four weight sums, reduced by
-    ``moduli(n)`` unless ``exact``: the word-by-word sweep over
-    ``padded_weight_sums``, whose residues test_syndrome checks against the
-    naive profile path."""
+    ``moduli(n)`` unless ``exact``: the word-by-word sweep over the bit loop,
+    which test_syndrome holds to ``padded_weight_sums`` on every word up to
+    n = 14, and that to the naive profile path."""
     m0, m1, m2, m3 = moduli(n)
     keys = []
     for v in range(1 << n):
-        s0, s1, s2, count = padded_weight_sums(v, n)
+        s0, s1, s2, count = padded_weight_sums_loop(v, n)
         if exact:
             keys.append((s0, s1, s2, count))
         else:

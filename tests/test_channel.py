@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import all_patterns, confusable_within, edit_distance_dp, error_ball, exact_patterns
+from oracles import (
+    all_patterns,
+    apply_errors_list,
+    confusable_within,
+    edit_distance_dp,
+    error_ball,
+    exact_patterns,
+)
 from twoedit.channel import (
     ErrorPattern,
     apply_errors,
@@ -67,6 +74,16 @@ def test_apply_errors_mixed_and_ordered_insertions():
     assert apply_errors(x, p) == Word("10110")
     stacked = ErrorPattern(insertions=((1, 0), (1, 1)))
     assert apply_errors(Word("11"), stacked) == Word("1011")
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_apply_errors_equals_the_symbol_walk_exhaustive(n):
+    # every word and every pattern of up to three edits, stacked insertions
+    # at one gap included
+    patterns = list(all_patterns(n, 3))
+    for x in words_of(n):
+        for p in patterns:
+            assert apply_errors(x, p) == apply_errors_list(x, p), (x, p)
 
 
 def test_ball_examples():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import all_patterns, candidate_preimages_ball, error_ball
+from oracles import all_patterns, candidate_preimages_ball, error_ball, padded_weight_sums_loop
 from twoedit.channel import apply_errors, edit_distance, random_pattern
-from twoedit.code import CodeParams, best_params, enumerate_codewords
+from twoedit.code import CodeParams, best_params, enumerate_codewords, member_value
 from twoedit.decoder import (
     AmbiguousDecodeError,
     NoCandidateError,
@@ -14,7 +14,7 @@ from twoedit.decoder import (
     candidate_preimages,
     decode,
 )
-from twoedit.syndrome import syndrome_tuple
+from twoedit.syndrome import moduli, syndrome_tuple
 from twoedit.words import Word
 
 
@@ -94,6 +94,35 @@ def test_decode_round_trip_past_the_cap(n):
         x = Word.from_int(rng.getrandbits(n), n)
         received = apply_errors(x, random_pattern(rng, n))
         assert decode(received, CodeParams(syndrome_tuple(x))) == x
+
+
+EDIT_KINDS = [(t, s, r) for t in range(3) for s in range(3 - t) for r in range(3 - t - s)][1:]
+
+
+@pytest.mark.parametrize("n, sample", ((64, None), (128, None), (256, 1500)))
+def test_decode_round_trip_every_edit_kind_long(n, sample):
+    # every one- and two-edit kind (t insertions, s deletions, r
+    # substitutions).  The filter keeps what the bit-loop residues keep, on
+    # every candidate, or at n = 256, where a kind has up to ~68 000
+    # candidates and the loop is linear in n, on a seeded sample and the
+    # sent word.
+    rng = random.Random(n)
+    m = moduli(n)
+    for counts in EDIT_KINDS:
+        x = Word.from_int(rng.getrandbits(n), n)
+        params = CodeParams(syndrome_tuple(x))
+        r = params.residues
+        target = (r.s0, r.s1, r.s2, r.s3)
+        received = apply_errors(x, random_pattern(rng, n, counts=counts))
+        candidates = sorted(candidate_preimages(received, n))
+        assert [v for v in candidates if member_value(v, params)] == [x.value], counts
+        assert decode(received, params) == x
+        checked = candidates if sample is None else rng.sample(candidates, sample) + [x.value]
+        by_loop = [
+            tuple(s % k for s, k in zip(padded_weight_sums_loop(v, n), m)) == target
+            for v in checked
+        ]
+        assert [member_value(v, params) for v in checked] == by_loop, counts
 
 
 def test_preimage_length_window():

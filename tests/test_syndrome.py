@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,17 +12,21 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (
     invert,
+    padded_weight_sums_loop,
     syndrome_from_kv,
     syndrome_tuple_naive,
+    transition_sums_loop,
     vt_weight_vector,
     zero_syndrome_forces_zero,
 )
+from twoedit import syndrome
 from twoedit.syndrome import (
     SyndromeTuple,
     moduli,
     padded_weight_sums,
     sign_preserving_number,
     syndrome_tuple,
+    transition_sums,
 )
 from twoedit.words import Word, adjacency_profile
 
@@ -162,3 +170,87 @@ def test_profile_difference_inverts_to_negated_reversal():
                 assert diff_inv == tuple(-v for v in reversed(diff))
                 if any(diff):
                     assert sign_preserving_number(diff_inv) == sign_preserving_number(diff)
+
+
+# --- the transition-table kernel --------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_weight_sums_equal_the_bit_loop_on_every_word(n):
+    for v in range(1 << n):
+        assert padded_weight_sums(v, n) == padded_weight_sums_loop(v, n), (n, v)
+
+
+@pytest.mark.parametrize("length", range(16))
+def test_transition_sums_equal_the_bit_loop_on_every_mask(length):
+    for mask in range(1 << length):
+        assert transition_sums(mask, length) == transition_sums_loop(mask, length), mask
+
+
+# n + 1 = 0, 1 and 7 (mod 8): the mask ends at, just past and just before a
+# byte boundary
+SEEDED_LENGTHS = (6, 7, 8, 14, 15, 16, 62, 63, 64, 1023, 1024, 1030, 4094, 4095, 4096)
+
+
+@pytest.mark.parametrize("n", SEEDED_LENGTHS)
+def test_weight_sums_equal_the_bit_loop_on_seeded_words(n):
+    rng = random.Random(n)
+    alternating = int("01" * (n // 2 + 1), 2) & ((1 << n) - 1)  # every pair a transition
+    words = [0, (1 << n) - 1, alternating] + [rng.getrandbits(n) for _ in range(20)]
+    for v in words:
+        assert padded_weight_sums(v, n) == padded_weight_sums_loop(v, n), (n, v)
+        mask = v ^ (v << 1)
+        assert transition_sums(mask, n + 1) == transition_sums_loop(mask, n + 1), (n, v)
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_transition_sums_split_at_the_head_as_the_sweep_splits_them(n):
+    # _split_keys adds the head's mask, read at length h, to the low t + 1
+    # bits of the whole mask, read at length n + 1
+    h = n // 2
+    t = n - h
+    low = (1 << (t + 1)) - 1
+    rng = random.Random(n)
+    for v in range(1 << n) if n <= 10 else [rng.getrandbits(n) for _ in range(300)]:
+        hi = v >> t
+        head = hi ^ (hi >> 1)
+        tail = (v ^ (v << 1)) & low
+        assert transition_sums(head, h) == transition_sums_loop(head, h)
+        assert transition_sums(tail, n + 1) == transition_sums_loop(tail, n + 1)
+        whole = transition_sums(v ^ (v << 1), n + 1)
+        parts = zip(transition_sums(head, h), transition_sums(tail, n + 1))
+        assert whole == tuple(a + b for a, b in parts), (n, v)
+        assert head.bit_count() + tail.bit_count() == (v ^ (v << 1)).bit_count()
+
+
+def test_packed_fields_cannot_overflow_below_the_stated_length():
+    # the largest field is sum 2 over all m positions of a mask,
+    # m(m+1)^2(m+2)/12; it must stay below 2^_FIELD_BITS while
+    # m <= 7 993 834 869, as the syndrome module states
+    def largest(m):
+        return m * (m + 1) ** 2 * (m + 2) // 12
+
+    for m in (1, 2, 9, 64, 257):
+        assert transition_sums((1 << m) - 1, m)[2] == largest(m)
+        assert transition_sums((1 << m) - 1, m) == transition_sums_loop((1 << m) - 1, m)
+    limit = 7_993_834_869
+    assert syndrome._FIELD_BITS == 128
+    assert largest(limit) < 1 << syndrome._FIELD_BITS <= largest(limit + 1)
+
+
+def test_rows_are_built_on_demand_up_to_the_longest_mask():
+    # a fresh interpreter: importing the CLI builds no rows, and a shorter
+    # word after a longer one builds none
+    script = (
+        "import twoedit.cli, twoedit.syndrome as s\n"
+        "from twoedit.words import Word\n"
+        "assert s._rows == (), len(s._rows)\n"
+        "s.syndrome_tuple(Word.from_int(12345, 20))\n"
+        "s.syndrome_tuple(Word.from_int(123, 12))\n"
+        "print(len(s._rows))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3\n"  # ceil(21 / 8)
