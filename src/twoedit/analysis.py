@@ -36,11 +36,12 @@ reach[t - 1] of the same cell, a V deletion from cell k - 1 in the same row
 and a U deletion from cell k - 3 one row down; a match then climbs a run of
 equal pairs, and one addition carries every seed up its run at once
 (Myers' bit-parallel edit distance works the same way).  A walk along an
-optimal path asks at each step whether a move's next state costs exactly
-the remaining rem, less the move's price.  A state costs at most a move's
-price plus the cost of the move's next state, so that next state never
-costs less, and "exactly" is "at most": one bit of reach[rem], or of
-reach[rem - 1] after a substitution.
+optimal path reads the move masks that seeded the sets: it takes a move
+only where the move's mask holds the state's row, and asks whether the
+move's next state costs exactly the remaining rem, less the move's price.
+A state costs at most a move's price plus the cost of the move's next
+state, so that next state never costs less, and "exactly" is "at most":
+one bit of reach[rem], or of reach[rem - 1] after a substitution.
 
 All positions below are 1-based, matching the convention used by error
 patterns and reports.
@@ -350,13 +351,15 @@ def _fill_runs(seed: int, runs: int) -> int:
     return seed | carry | (runs & ((runs + carry) ^ runs))
 
 
-def _reach_sets(x: Word, y: Word) -> list[list[int]]:
+def _reach_sets(x: Word, y: Word) -> tuple[list[list[int]], tuple]:
     """reach[t][3a + b]: bit n - i is set iff the alignment can be finished
     with at most t mismatched pairs after consuming i of x and j of y, while
     x still owes a deletions and y owes b = a + i - j, 0 <= a, b <= 2, for
     t = 0..4 (deletions and mismatches are restricted to interior
     positions).  No cell depends on s: bit n of reach[t][4s] tells whether
-    a shape with s deletions a side fits t mismatches."""
+    a shape with s deletions a side fits t mismatches.  The move masks that
+    seed the sets come with them: bit n - i of equal[d + 2], unequal[d + 2],
+    interior or del_v[d + 2] allows that move out of row i, d = j - i."""
     n = len(x)
     interior, pairs, del_v = _row_masks(n)
     xv, yv = x.value << 1, y.value
@@ -380,14 +383,13 @@ def _reach_sets(x: Word, y: Word) -> list[list[int]]:
             level.append(_fill_runs(seed, equal[e]))
         reach.append(level)
         below = level
-    return reach
+    return reach, (equal, unequal, interior, del_v)
 
 
-def _reconstruct(x: Word, y: Word, s: int, reach) -> tuple[list[int], list[int], list[int]]:
+def _reconstruct(n: int, s: int, reach, masks) -> tuple[list[int], list[int], list[int]]:
     """U deletions, substitutions (U positions) and V deletions of the
     leftmost optimal alignment, preferring match > sub > del_u > del_v."""
-    n = len(x)
-    xs, ys = str(x), str(y)
+    equal, unequal, interior, del_v = masks
     i = j = 0
     a = b = s
     rem = next(t for t, level in enumerate(reach) if level[4 * s] >> n & 1)
@@ -395,31 +397,25 @@ def _reconstruct(x: Word, y: Word, s: int, reach) -> tuple[list[int], list[int],
     subs: list[int] = []
     dels_v: list[int] = []
     while i < n or j < n:
-        k = 3 * a + b
-        row = n - 1 - i  # the bit of row i + 1
-        if i < n and j < n:
-            if xs[i] == ys[j]:
-                if reach[rem][k] >> row & 1:
-                    i += 1
-                    j += 1
-                    continue
-            elif rem and 2 <= i + 1 <= n - 1 and reach[rem - 1][k] >> row & 1:
-                subs.append(i + 1)
-                i += 1
-                j += 1
-                rem -= 1
-                continue
-        if i < n and a and 2 <= i + 1 <= n - 1 and reach[rem][k - 3] >> row & 1:
+        k, e, row = 3 * a + b, a - b + 2, n - i  # row i's bit; row i + 1's is row - 1
+        if equal[e] >> row & 1 and reach[rem][k] >> (row - 1) & 1:
+            i += 1
+            j += 1
+        elif rem and unequal[e] >> row & 1 and reach[rem - 1][k] >> (row - 1) & 1:
+            subs.append(i + 1)
+            i += 1
+            j += 1
+            rem -= 1
+        elif a and interior >> row & 1 and reach[rem][k - 3] >> (row - 1) & 1:
             dels_u.append(i + 1)
             i += 1
             a -= 1
-            continue
-        if j < n and b and 2 <= j + 1 <= n - 1 and reach[rem][k - 1] >> (row + 1) & 1:
+        elif b and del_v[e] >> row & 1 and reach[rem][k - 1] >> row & 1:
             dels_v.append(j + 1)
             j += 1
             b -= 1
-            continue
-        raise AssertionError("alignment reconstruction lost the optimal path")
+        else:
+            raise AssertionError("alignment reconstruction lost the optimal path")
     return dels_u, subs, dels_v
 
 
@@ -439,11 +435,11 @@ def find_relation(
     within s + r = 2."""
     if len(x) != len(y):
         raise ValueError("related words must have equal length")
-    reach = _reach_sets(x, y)
+    reach, masks = _reach_sets(x, y)
     top = 1 << len(x)
     for cs, cr in _RELATION_ORDER:
         if (s is None or cs == s) and (r is None or cr == r) and reach[2 * cr][4 * cs] & top:
-            dels_u, subs, dels_v = _reconstruct(x, y, cs, reach)
+            dels_u, subs, dels_v = _reconstruct(len(x), cs, reach, masks)
             subs = _with_trivial_fills(subs, dels_u, 2 * cr, len(x))
             return cs, cr, Alignment(tuple(dels_u), subs, tuple(dels_v))
     shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"

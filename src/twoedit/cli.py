@@ -222,12 +222,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _sigma(args: argparse.Namespace, pair: tuple[Word, Word] | None) -> int:
+def _cmd_sigma(args: argparse.Namespace) -> int:
     if args.vector is not None:
-        value = sign_preserving_number(args.vector)
-        _emit(args, "sigma", str(value), vector=",".join(map(str, args.vector)), value=value)
+        vector = _ints(args.vector, "--vector")
+        value = sign_preserving_number(vector)
+        _emit(args, "sigma", str(value), vector=",".join(map(str, vector)), value=value)
         return EXIT_OK
-    x, y = pair
+    if args.x is None or args.y is None:
+        raise ValueError("analyze sigma needs --vector or --x/--y")
+    x, y = parse_word(args.x), parse_word(args.y)
     if len(x) != len(y):
         raise ValueError("analyze sigma needs --x and --y of equal length")
     diff = tuple(a - b for a, b in zip(adjacency_profile(pad(x)), adjacency_profile(pad(y))))
@@ -238,8 +241,8 @@ def _sigma(args: argparse.Namespace, pair: tuple[Word, Word] | None) -> int:
     return EXIT_OK
 
 
-def _classify(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
-    x, y = pair
+def _cmd_classify(args: argparse.Namespace) -> int:
+    x, y = parse_word(args.x), parse_word(args.y)
     # the only reader of the budget, so the only reader of its fallback
     budget = args.round_budget
     if budget is None and os.environ.get(ROUND_BUDGET_ENV):
@@ -268,38 +271,17 @@ def _classify(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
     return EXIT_OK
 
 
-def _segment(args: argparse.Namespace, pair: tuple[Word, Word]) -> int:
-    x, y = pair
-    _, _, alignment = analysis.find_relation(x, y, *args.rel)
-    i, j = args.cut
+def _cmd_segment(args: argparse.Namespace) -> int:
+    x, y = parse_word(args.x), parse_word(args.y)
+    i, j = _ints(args.cut, "--cut", 2)
+    rel = _ints(args.rel, "--rel", 2) if args.rel is not None else (None, None)
+    _, _, alignment = analysis.find_relation(x, y, *rel)
     x2, y2 = analysis.segment_once(x, y, alignment, (i, j))
     filler = str(x2)[i : i + len(x2) - len(x)]
     _emit(
         args, "segment", f"{x2} / {y2}", x=x, y=y, i=i, j=j, filler=filler, x_out=x2, y_out=y2
     )
     return EXIT_OK
-
-
-_ANALYZE = {"sigma": _sigma, "classify": _classify, "segment": _segment}
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    # every analyze flag is converted, so a malformed one fails whichever action runs
-    args.vector = _ints(args.vector, "--vector") if args.vector else None
-    pair = None
-    if args.x is not None or args.y is not None:
-        if not (args.x and args.y):
-            raise ValueError("--x and --y must be given together")
-        pair = (parse_word(args.x), parse_word(args.y))
-    args.cut = _ints(args.cut, "--cut", 2) if args.cut else None
-    args.rel = _ints(args.rel, "--rel", 2) if args.rel else (None, None)
-    if args.action == "sigma" and args.vector is None and pair is None:
-        raise ValueError("analyze sigma needs --vector or --x/--y")
-    if args.action in ("classify", "segment") and pair is None:
-        raise ValueError(f"analyze {args.action} needs --x and --y")
-    if args.action == "segment" and args.cut is None:
-        raise ValueError("analyze segment needs --cut i,j")
-    return _ANALYZE[args.action](args, pair)
 
 
 def _add_common(sub: argparse.ArgumentParser, io_words: bool = False, cap: bool = False) -> None:
@@ -365,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, io_words=True)
 
     p = _add_command(subs, "corrupt", _cmd_corrupt, "apply an edit pattern to each word")
-    p.add_argument("--pattern", help="pattern spec, e.g. sub@4=1,del@2,ins@0=1")
-    p.add_argument("--random", action="store_true", help="seeded random pattern instead")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--pattern", help="pattern spec, e.g. sub@4=1,del@2,ins@0=1")
+    how.add_argument("--random", action="store_true", help="seeded random pattern instead")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, io_words=True)
 
@@ -381,18 +364,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     _add_common(p, cap=True)
 
-    p = _add_command(
-        subs, "analyze", _cmd_analyze, "sign-preserving numbers, classification, segmentation"
-    )
-    p.add_argument("action", choices=("sigma", "classify", "segment"))
-    p.add_argument("--vector", help="comma-separated integers (sigma)")
+    p = subs.add_parser("analyze", help="sign-preserving numbers, classification, segmentation")
+    actions = p.add_subparsers(dest="action", required=True)
+
+    p = _add_command(actions, "sigma", _cmd_sigma, "sign-preserving number of a vector or pair")
+    p.add_argument("--vector", help="comma-separated integers")
     p.add_argument("--x", help="first word")
     p.add_argument("--y", help="second word")
-    p.add_argument("--cut", help="cut i,j (segment)")
-    p.add_argument("--rel", help="relation shape s,r (segment; default: smallest)")
-    p.add_argument("--k", type=int, default=5, help="target separation (classify)")
+    _add_common(p)
+
+    p = _add_command(actions, "classify", _cmd_classify, "separate a pair's errors, classify them")
+    p.add_argument("--x", required=True, help="first word")
+    p.add_argument("--y", required=True, help="second word")
+    p.add_argument("--k", type=int, default=5, help="target separation")
     _add_common(p)
     p.add_argument("--round-budget", type=int, default=None, help="segmentation round cap")
+
+    p = _add_command(actions, "segment", _cmd_segment, "splice one filler into a pair")
+    p.add_argument("--x", required=True, help="first word")
+    p.add_argument("--y", required=True, help="second word")
+    p.add_argument("--cut", required=True, help="cut i,j")
+    p.add_argument("--rel", help="relation shape s,r (default: smallest)")
+    _add_common(p)
 
     return parser
 

@@ -22,26 +22,19 @@ class Word:
     def __init__(self, bits: BitsLike = "") -> None:
         if isinstance(bits, Word):
             self._n, self._v = bits._n, bits._v
-            return
-        n = 0
-        v = 0
-        if isinstance(bits, str):
-            for ch in bits:
-                if ch == "0":
-                    v <<= 1
-                elif ch == "1":
-                    v = (v << 1) | 1
-                else:
-                    raise ValueError(f"invalid symbol {ch!r} in word {bits!r}")
-                n += 1
+        elif isinstance(bits, str):
+            bad = bits.lstrip("01")  # int() alone would take "0_1", "+01", " 01", "0b1", ...
+            if bad:
+                raise ValueError(f"invalid symbol {bad[0]!r} in word {bits!r}")
+            self._n, self._v = len(bits), int(bits or "0", 2)
         else:
+            n = v = 0
             for b in bits:
                 if b not in (0, 1):
                     raise ValueError(f"invalid bit {b!r}")
                 v = (v << 1) | b
                 n += 1
-        self._n = n
-        self._v = v
+            self._n, self._v = n, v
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "Word":

@@ -376,7 +376,7 @@ _AT_MOST = [str.maketrans("012345", "1" * (t + 1) + "0" * (5 - t)) for t in rang
 def _assert_reach_sets_match_the_banded_table(x, y):
     """Bit n - i of reach[t][k] is set iff g[i][k] <= t, and each shape's walk
     takes the table's path."""
-    reach = analysis._reach_sets(x, y)
+    reach, masks = analysis._reach_sets(x, y)
     g = oracles.banded_suffix_costs(x, y)
     for k in range(9):
         column = "".join([str(min(row[k], 5)) for row in g])  # row 0 first: bit n
@@ -384,7 +384,7 @@ def _assert_reach_sets_match_the_banded_table(x, y):
             assert reach[t][k] == int(column.translate(_AT_MOST[t]), 2), (x, y, t, k)
     for s in range(3):
         if g[0][4 * s] <= 4:
-            walk = analysis._reconstruct(x, y, s, reach)
+            walk = analysis._reconstruct(len(x), s, reach, masks)
             assert walk == oracles.banded_reconstruct(x, y, s, g), (x, y, s)
 
 

@@ -190,8 +190,9 @@ def test_analyze_segment_worked_example(capsys):
 def test_usage_errors(capsys):
     status, _, err = run_cli(capsys, "syndrome", "01a")
     assert status == EXIT_USAGE and "error" in err
-    status, _, err = run_cli(capsys, "analyze", "segment", "--x", "00010", "--y", "01110")
-    assert status == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "segment", "--x", "00010", "--y", "01110"])
+    assert exc.value.code == EXIT_USAGE
     status, _, err = run_cli(capsys, "check", "--n", "7", "--params", "1,2,3", "0000000")
     assert status == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
@@ -325,6 +326,24 @@ def record_types(text: str) -> set[str]:
     return seen
 
 
+def leaf_commands(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """The argv prefix of every parser under ``parser`` that takes no
+    further subcommand, nested subparsers included."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from leaf_commands(sub, (*path, name))
+
+
+def test_every_leaf_command_has_a_golden_help_text():
+    helped = {tuple(case["argv"][:-1]) for case in GOLDEN if case["argv"][-1:] == ["--help"]}
+    leaves = list(leaf_commands(build_parser()))
+    assert ("analyze", "segment") in leaves and ("syndrome",) in leaves
+    assert [" ".join(path) for path in leaves if path not in helped] == []
+
+
 def test_machine_records_follow_the_readme_schema():
     seen = set()
     for case in GOLDEN:
@@ -418,11 +437,23 @@ VALID_ARGV = {
     "corrupt": ("corrupt", "--pattern", "del@2", "0000001"),
     "verify": ("verify", "--n", "9"),
     "analyze": ("analyze", "classify", "--x", "0001011", "--y", "0110001"),
+    "analyze sigma": ("analyze", "sigma", "--vector", "1,0,1,-1,-2,3"),
+    "analyze segment": (
+        "analyze", "segment", "--x", "00010", "--y", "01110", "--cut", "4,2", "--rel", "2,0"
+    ),
 }
 ENUM_CAP_READERS = ("enumerate", "census", "best-params", "encode", "rank", "verify")
-REMOVED_FLAGS = [(command, "--round-budget") for command in VALID_ARGV if command != "analyze"] + [
-    (command, "--enum-cap") for command in VALID_ARGV if command not in ENUM_CAP_READERS
-]
+# the flags of another analyze action that each action does not read ("analyze" is classify)
+ANALYZE_UNREAD = {
+    "analyze": ("--vector", "--cut", "--rel"),
+    "analyze sigma": ("--cut", "--rel", "--k"),
+    "analyze segment": ("--vector", "--k"),
+}
+REMOVED_FLAGS = (
+    [(command, "--round-budget") for command in VALID_ARGV if command != "analyze"]
+    + [(command, "--enum-cap") for command in VALID_ARGV if command not in ENUM_CAP_READERS]
+    + [(command, flag) for command, flags in ANALYZE_UNREAD.items() for flag in flags]
+)
 
 
 @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
@@ -433,6 +464,14 @@ def test_a_subcommand_rejects_a_flag_it_does_not_read(capsys, command, flag):
     captured = capsys.readouterr()
     assert exc.value.code == EXIT_USAGE and captured.out == ""
     assert f"unrecognized arguments: {flag}" in captured.err
+
+
+def test_corrupt_takes_a_pattern_or_random_not_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corrupt", "--random", "--pattern", "del@1", "0000001"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and captured.out == ""
+    assert "argument --pattern: not allowed with argument --random" in captured.err
 
 
 @pytest.mark.parametrize(

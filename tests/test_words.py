@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,6 +35,11 @@ def test_word_construction_and_rendering():
 def test_word_rejects_garbage():
     with pytest.raises(ValueError):
         Word("01x")
+    # strings that int(text, 2) alone would accept or misread
+    cases = {"0_1": "_", "+01": "+", " 01": " ", "01\n": "\n", "0b1": "b", "\uff101": "\uff10"}
+    for text, bad in cases.items():
+        with pytest.raises(ValueError, match=re.escape(f"invalid symbol {bad!r} in word")):
+            Word(text)
     with pytest.raises(ValueError):
         Word([0, 2])
     with pytest.raises(ValueError):
