@@ -22,6 +22,11 @@ shifts and masks, so each round's words are the next round's "before"
 words.  Only alignments from outside are checked: ``separate_errors`` trusts
 the one ``find_relation`` just built.
 
+Separation needs no round budget.  A pair has at most four errors, so at
+most three gaps.  Each round splices a filler of length >= 2 into the
+leftmost gap below k and moves every later error by that length, so it ends
+within the sum of ceil(max(0, k - gap) / 2) <= 3 * ceil(k / 2) rounds.
+
 The relation of a pair comes from one family of reach sets for every shape.
 A state (i, j, a) has consumed i symbols of x and j of y while x still owes
 a deletions; y then owes b = a + i - j, because both sides have matched
@@ -73,10 +78,6 @@ class SeparationError(ValueError):
 
 class NoRelationError(ValueError):
     """No deletion/substitution relation within the supported budget."""
-
-
-class RoundBudgetError(RuntimeError):
-    """Separation did not converge within the round budget."""
 
 
 @dataclass(frozen=True)
@@ -193,13 +194,9 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
             )
     n = len(u)
     su, sv = str(u), str(v)
-    del_u_set = set(dels_u)
-    del_v_set = set(dels_v)
 
     def tau_u(p: int) -> str:
-        """The V symbol matched to U position ``p``."""
-        if p in del_u_set:
-            raise SeparationError(f"U position {p} adjoins an error but is deleted")
+        """The V symbol matched to (undeleted) U position ``p``."""
         return sv[_kth(_rank(p, dels_u), dels_v) - 1]
 
     out = []
@@ -210,12 +207,8 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
             left = tau_u(p - 1)
             e = _f3(left, su[p - 1], su[p]) - _f3(left, tau_u(p), su[p])
         elif kind == DEL_OVER:
-            if p - 1 in del_u_set or p + 1 in del_u_set:
-                raise SeparationError(f"deletion at U position {p} has a deleted neighbour")
             e = _f3(su[p - 2], su[p - 1], su[p]) - _f2(su[p - 2], su[p])
         else:
-            if p - 1 in del_v_set or p + 1 in del_v_set:
-                raise SeparationError(f"deletion at V position {p} has a deleted neighbour")
             e = _f2(sv[p - 2], sv[p]) - _f3(sv[p - 2], sv[p - 1], sv[p])
         out.append(ErrorTypeValue(kind, e, p))
     return out
@@ -522,32 +515,27 @@ def _find_cut(state: _PairState, errors, m: int):
 
 
 def _next_cut(state: _PairState, k: int):
-    """Cut widening the leftmost too-narrow gap between adjacent errors."""
+    """Cut widening the leftmost gap below k between adjacent errors, or None
+    if there is none; two errors at one position may be cut in either order."""
     errors = state.error_entries()
-    saw_violation = False
-    for m in range(1, len(errors)):
-        gap = errors[m][0] - errors[m - 1][0]
-        if gap >= k:
-            continue
-        saw_violation = True
-        cut = _find_cut(state, errors, m)
-        if cut is None and errors[m - 1][0] == errors[m][0]:
-            swapped = errors[:m - 1] + [errors[m], errors[m - 1]] + errors[m + 1 :]
-            cut = _find_cut(state, swapped, m)
-        if cut is not None:
-            return cut
-    if saw_violation:
+    m = next((m for m in range(1, len(errors)) if errors[m][0] - errors[m - 1][0] < k), None)
+    if m is None:
+        return None
+    cut = _find_cut(state, errors, m)
+    if cut is None and errors[m - 1][0] == errors[m][0]:
+        swapped = errors[:m - 1] + [errors[m], errors[m - 1]] + errors[m + 1 :]
+        cut = _find_cut(state, swapped, m)
+    if cut is None:
         raise SeparationError(
             f"no matched cut separates errors {errors} in {state.x} / {state.y}"
         )
-    return None
+    return cut
 
 
 def separate_errors(
     x: Word,
     y: Word,
     k: int,
-    round_budget: int | None = None,
     s: int | None = None,
     r: int | None = None,
 ) -> Separation:
@@ -560,19 +548,11 @@ def separate_errors(
         raise ValueError("separation distance must be at least 1")
     if len(x) != len(y):
         raise ValueError("words must have equal length")
-    if round_budget is not None and round_budget < 0:
-        raise ValueError(f"round budget must be at least 0, got {round_budget}")
     big_x, big_y = pad(x), pad(y)
     s, r, alignment = find_relation(big_x, big_y, s, r)
     state = _PairState(big_x, big_y, alignment)
-    budget = 4 * k if round_budget is None else round_budget
     rounds: list[SegmentationRound] = []
-    while True:
-        cut = _next_cut(state, k)
-        if cut is None:
-            break
-        if len(rounds) >= budget:
-            raise RoundBudgetError(f"separation exceeded the budget of {budget} rounds")
+    while (cut := _next_cut(state, k)) is not None:
         x_before, y_before = state.x, state.y
         z = state.apply_cut(*cut)
         rounds.append(SegmentationRound(x_before, y_before, cut, z, state.x, state.y))

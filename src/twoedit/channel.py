@@ -66,6 +66,13 @@ class ErrorPattern:
                 raise ValueError(f"insertion gap {g} outside word of length {n}")
 
 
+def _position(text: str, item: str) -> int:
+    """Position ``text`` of ``item`` in ASCII digits (int() takes "+2", "1_0", ...)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"malformed pattern item {item!r}")
+    return int(text)
+
+
 def parse_pattern(text: str) -> ErrorPattern:
     """Parse a pattern spec such as ``sub@4=1,del@2,ins@0=1`` ('' = no edits)."""
     subs: list[tuple[int, int]] = []
@@ -80,15 +87,15 @@ def parse_pattern(text: str) -> ErrorPattern:
         if at != "@":
             raise ValueError(f"malformed pattern item {item!r}")
         if kind == "del":
-            dels.append(int(rest))
+            dels.append(_position(rest, item))
             continue
         pos_text, eq, sym_text = rest.partition("=")
         if eq != "=" or sym_text not in ("0", "1"):
             raise ValueError(f"malformed pattern item {item!r}")
         if kind == "sub":
-            subs.append((int(pos_text), int(sym_text)))
+            subs.append((_position(pos_text, item), int(sym_text)))
         elif kind == "ins":
-            ins.append((int(pos_text), int(sym_text)))
+            ins.append((_position(pos_text, item), int(sym_text)))
         else:
             raise ValueError(f"unknown edit kind {kind!r} in {item!r}")
     return ErrorPattern(tuple(subs), tuple(dels), tuple(ins))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import random
 import sys
 
@@ -24,8 +23,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-ROUND_BUDGET_ENV = "TWOEDIT_ROUND_BUDGET"
 
 # field names of the four residues in syndrome and in code-parameter records
 S_KEYS = ("s0", "s1", "s2", "s3")
@@ -47,7 +44,7 @@ def _residues(st: SyndromeTuple, keys: tuple[str, ...]) -> dict:
 
 
 # how many values _ints wants, as its error text says it
-_HOW_MANY = {None: "comma-separated integers", 1: "an integer", 2: "two comma-separated integers"}
+_HOW_MANY = {None: "comma-separated integers", 2: "two comma-separated integers"}
 
 
 def _ints(text: str, flag: str, count: int | None = None) -> tuple[int, ...]:
@@ -243,11 +240,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     x, y = parse_word(args.x), parse_word(args.y)
-    # the only reader of the budget, so the only reader of its fallback
-    budget = args.round_budget
-    if budget is None and os.environ.get(ROUND_BUDGET_ENV):
-        (budget,) = _ints(os.environ[ROUND_BUDGET_ENV], ROUND_BUDGET_ENV, 1)
-    sep = analysis.separate_errors(x, y, args.k, budget)
+    sep = analysis.separate_errors(x, y, args.k)
     classified = analysis.classify_errors(sep.u, sep.v, sep.alignment)
     for e in classified:
         human = f"position {e.position}: {e.kind} value {e.value:+d}"
@@ -378,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="second word")
     p.add_argument("--k", type=int, default=5, help="target separation")
     _add_common(p)
-    p.add_argument("--round-budget", type=int, default=None, help="segmentation round cap")
 
     p = _add_command(actions, "segment", _cmd_segment, "splice one filler into a pair")
     p.add_argument("--x", required=True, help="first word")
@@ -394,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (code.ResourceCapError, analysis.RoundBudgetError) as exc:
+    except code.ResourceCapError as exc:
         _emit(args, "error", f"resource cap exceeded: {exc}", kind="resource", message=exc)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

@@ -54,29 +54,19 @@ from .syndrome import (
 from .words import Word
 
 DEFAULT_ENUMERATION_CAP = 24
-ENUM_CAP_ENV = "TWOEDIT_ENUM_CAP"
 
 
 class ResourceCapError(RuntimeError):
-    """An enumeration or budget cap was exceeded."""
-
-
-def enumeration_cap(cap: int | None = None) -> int:
-    if cap is None:
-        env = os.environ.get(ENUM_CAP_ENV)
-        try:
-            cap = int(env) if env else DEFAULT_ENUMERATION_CAP
-        except ValueError:
-            raise ValueError(f"{ENUM_CAP_ENV} needs an integer, got {env!r}") from None
-    if cap < 0:
-        raise ValueError(f"enumeration cap must be at least 0, got {cap}")
-    return cap
+    """A length exceeds the enumeration cap."""
 
 
 def _check_cap(n: int, cap: int | None) -> None:
-    limit = enumeration_cap(cap)
-    if n > limit:
-        raise ResourceCapError(f"length {n} exceeds enumeration cap {limit}")
+    if cap is None:
+        cap = DEFAULT_ENUMERATION_CAP
+    elif cap < 0:
+        raise ValueError(f"enumeration cap must be at least 0, got {cap}")
+    if n > cap:
+        raise ResourceCapError(f"length {n} exceeds enumeration cap {cap}")
     if n < MIN_CODE_LENGTH:
         raise ValueError(f"length must be at least {MIN_CODE_LENGTH}, got {n}")
 

@@ -19,7 +19,6 @@ from twoedit.analysis import (
     AlignmentError,
     ErrorTypeValue,
     NoRelationError,
-    RoundBudgetError,
     SegmentationRound,
     Separation,
     SeparationError,
@@ -938,7 +937,9 @@ def _list_find_cut(state: _ListPairState, errors, m: int):
 
 
 def _list_next_cut(state: _ListPairState, k: int):
-    """Cut widening the leftmost too-narrow gap between adjacent errors."""
+    """Cut widening the leftmost too-narrow gap between adjacent errors.
+    Unlike the library, it tries the later narrow gaps when the leftmost has
+    no cut, so agreeing with it shows that the leftmost always has one."""
     errors = state.error_entries()
     saw_violation = False
     for m in range(1, len(errors)):
@@ -963,7 +964,6 @@ def separate_errors_lists(
     x: Word,
     y: Word,
     k: int,
-    round_budget: int | None = None,
     s: int | None = None,
     r: int | None = None,
 ) -> Separation:
@@ -979,14 +979,11 @@ def separate_errors_lists(
     big_x, big_y = pad(x), pad(y)
     s, r, alignment = find_relation(big_x, big_y, s, r)
     state = _ListPairState.from_alignment(big_x, big_y, alignment)
-    budget = 4 * k if round_budget is None else round_budget
     rounds: list[SegmentationRound] = []
     while True:
         cut = _list_next_cut(state, k)
         if cut is None:
             break
-        if len(rounds) >= budget:
-            raise RoundBudgetError(f"separation exceeded the budget of {budget} rounds")
         x_before, y_before = Word(state.x), Word(state.y)
         z = state.apply_cut(*cut)
         rounds.append(

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, product
 
@@ -13,7 +14,6 @@ from twoedit.analysis import (
     DEL_UNDER,
     ErrorTypeValue,
     NoRelationError,
-    RoundBudgetError,
     SUB,
     SeparationError,
     _meet_filler,
@@ -254,6 +254,39 @@ def test_check_alignment_matches_the_oracle_on_malformed_alignments():
     assert all(rejected.values()), rejected
 
 
+def _classified_alike(u, v, alignment):
+    """The library and the oracle give the same classification or the same
+    error; the two alignment rules word their rejections differently, so an
+    AlignmentError is compared by type alone."""
+    got = _classify_outcome(classify_errors, u, v, alignment)
+    expected = _classify_outcome(oracles.classify_errors, u, v, alignment)
+    if isinstance(got, tuple) and got[0] is AlignmentError:
+        return isinstance(expected, tuple) and expected[0] is AlignmentError
+    return got == expected
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_classify_errors_matches_the_oracle_exhaustive(n):
+    words = [Word.from_int(v, n) for v in range(1 << n)]
+    dels = _ascending(n, range(3))
+    for triple in product(dels, _ascending(n, range(n + 1)), dels):
+        alignment = Alignment(*triple)
+        for u, v in product(words, repeat=2):
+            assert _classified_alike(u, v, alignment), (u, v, alignment)
+
+
+def test_classify_errors_matches_the_oracle_on_malformed_alignments():
+    rng = random.Random(89)
+    for t in range(300):
+        planted = None
+        while planted is None:
+            x, y = (pad(w) for w in oracles.random_confusable_pair(rng, 10))
+            alignment = find_relation(x, y)[2]
+            planted = _malformed(rng, x, alignment, _DEFECTS[t % len(_DEFECTS)])
+        assert _classified_alike(x, y, alignment), (x, y, alignment)
+        assert _classified_alike(planted[0], y, planted[1]), (planted, y)
+
+
 def test_segmentation_worked_example():
     x, y = Word("00010"), Word("01110")
     s, r, al = find_relation(x, y, s=2, r=0)
@@ -434,7 +467,7 @@ def _separation_outcome(separate, x, y, k=5, *settings):
     """The Separation, or the exception type and message."""
     try:
         return separate(x, y, k, *settings)
-    except (ValueError, RoundBudgetError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -454,28 +487,28 @@ def _classify_outcome(classify, u, v, alignment):
         return type(exc), str(exc)
 
 
-_SEPARATION_SETTINGS = tuple(product((1, 2, 3, 5, 7), (None, 0, 1, 2)))
+_SEPARATION_SETTINGS = (1, 2, 3, 5, 7)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_separate_errors_matches_the_list_state_on_every_setting(n):
-    # every pair runs under the default and each pinned shape; (k, budget)
-    # cycles through all 20 settings, so each shape meets each setting on
-    # every 20th pair
+    # every pair runs under the default and each pinned shape; k cycles
+    # through all 5 settings, so each shape meets each k on every 5th pair
     words = [Word.from_int(v, n) for v in range(1 << n)]
     pairs = [(x, y) for x, y in product(words, repeat=2) if edit_distance(x, y) <= 4]
     for t, (x, y) in enumerate(pairs):
         for c, shape in enumerate(((None, None),) + analysis._RELATION_ORDER):
-            k, budget = _SEPARATION_SETTINGS[(t + c) % len(_SEPARATION_SETTINGS)]
-            expected = _separation_outcome(oracles.separate_errors_lists, x, y, k, budget, *shape)
-            got = _separation_outcome(separate_errors, x, y, k, budget, *shape)
-            assert got == expected, (x, y, k, budget, shape)
+            k = _SEPARATION_SETTINGS[(t + c) % len(_SEPARATION_SETTINGS)]
+            expected = _separation_outcome(oracles.separate_errors_lists, x, y, k, *shape)
+            got = _separation_outcome(separate_errors, x, y, k, *shape)
+            assert got == expected, (x, y, k, shape)
             if isinstance(got, analysis.Separation):
+                _replay_rounds(got, find_relation(pad(x), pad(y), *shape)[2], k)
                 # below k = 2s + 1 the windows may overlap: classification refuses
                 args = (got.u, got.v, got.alignment)
                 assert _classify_outcome(classify_errors, *args) == _classify_outcome(
                     oracles.classify_errors, *args
-                ), (x, y, k, budget, shape)
+                ), (x, y, k, shape)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -515,7 +548,9 @@ def test_separate_errors_matches_the_list_state_on_random_pairs(n):
     rng = random.Random(700 + n)
     for _ in range(200):
         x, y = oracles.random_confusable_pair(rng, n)
-        assert separate_errors(x, y, 5) == oracles.separate_errors_lists(x, y, 5), (x, y)
+        sep = separate_errors(x, y, 5)
+        assert sep == oracles.separate_errors_lists(x, y, 5), (x, y)
+        _replay_rounds(sep, find_relation(pad(x), pad(y))[2], 5)
 
 
 def test_separate_errors_trusts_its_own_alignment(monkeypatch):
@@ -551,13 +586,6 @@ def test_separate_errors_zero_rounds_cases():
     assert sep.positions == (4, 11)
 
 
-def test_separate_errors_round_budget():
-    with pytest.raises(RoundBudgetError):
-        separate_errors(Word("001"), Word("111"), 5, round_budget=0)
-    with pytest.raises(ValueError, match="round budget must be at least 0, got -1"):
-        separate_errors(Word("001"), Word("111"), 5, round_budget=-1)
-
-
 def test_separate_errors_requires_equal_lengths_and_positive_k():
     with pytest.raises(ValueError):
         separate_errors(Word("01"), Word("011"), 5)
@@ -565,10 +593,33 @@ def test_separate_errors_requires_equal_lengths_and_positive_k():
         separate_errors(Word("01"), Word("10"), 0)
 
 
+def _replay_rounds(sep, alignment, k):
+    """Replay ``sep``'s cuts from ``alignment``, the relation it starts
+    from: each round moves exactly the errors after the leftmost gap below
+    k, by its filler's length (at least 2), so the rounds number at most
+    ceil((k - gap) / 2) summed over the initial gaps below k."""
+    dels_u, subs, dels_v = alignment.dels_u, alignment.subs, alignment.dels_v
+    before = sorted(dels_u + subs + dels_v)
+    gaps = [b - a for a, b in zip(before, before[1:])]
+    assert len(sep.rounds) <= sum(math.ceil(max(0, k - g) / 2) for g in gaps)
+    for rnd in sep.rounds:
+        (i, j), length = rnd.cut, len(rnd.filler)
+        assert length >= 2 and len(rnd.x_after) == len(rnd.x_before) + length
+        m = next(m for m in range(1, len(before)) if before[m] - before[m - 1] < k)
+        dels_u = tuple(p + length if p > i else p for p in dels_u)
+        subs = tuple(p + length if p > i else p for p in subs)
+        dels_v = tuple(p + length if p > j else p for p in dels_v)
+        after = sorted(dels_u + subs + dels_v)
+        assert after == before[:m] + [p + length for p in before[m:]]
+        before = after
+    assert sep.alignment == Alignment(dels_u, subs, dels_v)
+
+
 def _full_invariants(x, y, k=5):
     big_x, big_y = pad(x), pad(y)
     diff0 = oracles.profile_difference(big_x, big_y)
     sep = separate_errors(x, y, k)
+    _replay_rounds(sep, find_relation(big_x, big_y)[2], k)
     prev = diff0
     for rnd in sep.rounds:
         assert adjacency_count(rnd.x_after) - adjacency_count(rnd.y_after) == adjacency_count(

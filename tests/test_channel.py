@@ -60,6 +60,16 @@ def test_pattern_spec_roundtrip():
         parse_pattern("sub@1=7")
 
 
+@pytest.mark.parametrize("position", ("x", "", "+2", "1_0", "\u0663", "-1", " 2"))
+@pytest.mark.parametrize("template", ("del@{}", "sub@{}=1", "ins@{}=0"))
+def test_a_pattern_position_is_ascii_digits(template, position):
+    # int() alone would read "+2" as 2, "1_0" as 10 and the Arabic-Indic three as 3
+    item = template.format(position)
+    with pytest.raises(ValueError) as exc:
+        parse_pattern(f"del@1,{item}")
+    assert str(exc.value) == f"malformed pattern item {item!r}"
+
+
 def test_apply_errors_examples():
     assert apply_errors(Word("101"), ErrorPattern(deletions=(1,))) == Word("01")
     assert apply_errors(Word("101"), ErrorPattern(substitutions=((2, 0),))) == Word("101")

@@ -14,11 +14,9 @@ from twoedit.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VIOLATION,
-    ROUND_BUDGET_ENV,
     build_parser,
     main,
 )
-from twoedit.code import ENUM_CAP_ENV
 from test_code import SerialPool
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,20 +213,6 @@ def test_a_flag_names_itself_on_a_bad_value(capsys, flag, text):
     assert err == f"error: {flag} needs {wanted}, got '{text}'\n"
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    (
-        (ENUM_CAP_ENV, ("census", "--n", "9")),
-        (ROUND_BUDGET_ENV, ("analyze", "classify", "--x", "0001011", "--y", "0110001")),
-    ),
-)
-def test_an_environment_variable_names_itself_on_a_bad_value(capsys, monkeypatch, name, argv):
-    monkeypatch.setenv(name, "x")
-    status, out, err = run_cli(capsys, *argv)
-    assert status == EXIT_USAGE and out == ""
-    assert err == f"error: {name} needs an integer, got 'x'\n"
-
-
 def test_verify_violation_exit_and_witness(capsys, monkeypatch):
     from twoedit.code import DistanceViolation, SweepReport
     from twoedit.words import Word
@@ -265,12 +249,6 @@ def test_resource_cap_exit(capsys):
     assert "record=error" in out and "kind=resource" in out
 
 
-def test_enum_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("TWOEDIT_ENUM_CAP", "8")
-    status, out, _ = run_cli(capsys, "census", "--n", "9", "--machine")
-    assert status == EXIT_RESOURCE
-
-
 def test_stdin_words(capsys, monkeypatch):
     import io
 
@@ -286,8 +264,6 @@ def _golden_id(case):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
 def test_golden_outputs(case, capsys, monkeypatch):
-    for name in (ENUM_CAP_ENV, ROUND_BUDGET_ENV):
-        monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
     for name, value in case["env"].items():
         monkeypatch.setenv(name, value)
@@ -380,37 +356,11 @@ def test_decode_batch_continues_past_a_bad_length(capsys):
     ]
 
 
-def test_round_budget_env_is_read_only_by_classify(capsys, monkeypatch):
-    monkeypatch.setenv(ROUND_BUDGET_ENV, "x")
-    status, out, _ = run_cli(capsys, "syndrome", "0000001", "--machine")
-    assert status == EXIT_OK
-    assert out == "record=syndrome word=0000001 n=7 s0=3 s1=26 s2=226 s3=2\n"
-    status, _, err = run_cli(capsys, "analyze", "classify", "--x", "001", "--y", "111")
-    assert status == EXIT_USAGE and "'x'" in err
-    monkeypatch.setenv(ROUND_BUDGET_ENV, "0")
-    status, out, _ = run_cli(capsys, "analyze", "classify", "--x", "0001011", "--y", "0110001")
-    assert status == EXIT_RESOURCE and "budget of 0 rounds" in out
-    # the flag still wins over the environment
-    status, _, _ = run_cli(
-        capsys, "analyze", "classify", "--x", "0001011", "--y", "0110001", "--round-budget", "9"
-    )
-    assert status == EXIT_OK
-
-
-def test_negative_round_budget_is_a_usage_error(capsys, monkeypatch):
-    pair = ("analyze", "classify", "--x", "0001011", "--y", "0110001")
-    expected = "error: round budget must be at least 0, got -1\n"
-    assert run_cli(capsys, *pair, "--round-budget", "-1", "--machine") == (EXIT_USAGE, "", expected)
-    monkeypatch.setenv(ROUND_BUDGET_ENV, "-1")
-    assert run_cli(capsys, *pair, "--machine") == (EXIT_USAGE, "", expected)
-
-
-def test_negative_enumeration_cap_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.delenv(ENUM_CAP_ENV, raising=False)
+def test_negative_enumeration_cap_is_a_usage_error(capsys):
     expected = "error: enumeration cap must be at least 0, got -1\n"
     assert run_cli(capsys, "census", "--n", "9", "--enum-cap", "-1") == (EXIT_USAGE, "", expected)
-    monkeypatch.setenv(ENUM_CAP_ENV, "-3")
-    status, out, err = run_cli(capsys, "enumerate", "--n", "9", "--params", "0,0,0,0", "--machine")
+    argv = ("enumerate", "--n", "9", "--params", "0,0,0,0", "--enum-cap", "-3", "--machine")
+    status, out, err = run_cli(capsys, *argv)
     assert (status, out, err) == (EXIT_USAGE, "", expected.replace("-1", "-3"))
     # a cap of 0 is a resource limit that no length fits
     status, out, _ = run_cli(capsys, "census", "--n", "9", "--enum-cap", "0", "--machine")
@@ -450,7 +400,8 @@ ANALYZE_UNREAD = {
     "analyze segment": ("--vector", "--k"),
 }
 REMOVED_FLAGS = (
-    [(command, "--round-budget") for command in VALID_ARGV if command != "analyze"]
+    # no subcommand takes a round budget: separation ends by itself
+    [(command, "--round-budget") for command in VALID_ARGV]
     + [(command, "--enum-cap") for command in VALID_ARGV if command not in ENUM_CAP_READERS]
     + [(command, flag) for command, flags in ANALYZE_UNREAD.items() for flag in flags]
 )
@@ -474,17 +425,11 @@ def test_corrupt_takes_a_pattern_or_random_not_both(capsys):
     assert "argument --pattern: not allowed with argument --random" in captured.err
 
 
-@pytest.mark.parametrize(
-    "command,flag",
-    [(command, "--enum-cap") for command in ENUM_CAP_READERS] + [("analyze", "--round-budget")],
-)
-def test_a_subcommand_honours_the_flag_it_reads(capsys, monkeypatch, command, flag):
-    for name in (ENUM_CAP_ENV, ROUND_BUDGET_ENV):
-        monkeypatch.delenv(name, raising=False)
+@pytest.mark.parametrize("command,flag", [(command, "--enum-cap") for command in ENUM_CAP_READERS])
+def test_a_subcommand_honours_the_flag_it_reads(capsys, command, flag):
     assert run_cli(capsys, *VALID_ARGV[command])[0] == EXIT_OK
-    # a cap of 8 is below every length above; a budget of 0 stops this pair's separation
-    value = "8" if flag == "--enum-cap" else "0"
-    status, out, _ = run_cli(capsys, *VALID_ARGV[command], flag, value)
+    # a cap of 8 is below every length above
+    status, out, _ = run_cli(capsys, *VALID_ARGV[command], flag, "8")
     assert status == EXIT_RESOURCE and "resource cap exceeded" in out
 
 
@@ -498,8 +443,6 @@ def readme_commands() -> list[list[str]]:
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_examples_succeed(argv, capsys, monkeypatch):
-    for name in (ENUM_CAP_ENV, ROUND_BUDGET_ENV):
-        monkeypatch.delenv(name, raising=False)
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(SerialPool, "sizes", [])
     status, out, _ = run_cli(capsys, *argv)

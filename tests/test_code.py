@@ -9,6 +9,7 @@ import oracles
 from twoedit import code
 from twoedit.code import (
     Census,
+    DEFAULT_ENUMERATION_CAP,
     CodeParams,
     DistanceViolation,
     MODE_BUCKET,
@@ -20,7 +21,6 @@ from twoedit.code import (
     decode_index,
     encode_index,
     enumerate_codewords,
-    enumeration_cap,
     is_codeword,
     member_value,
     pigeonhole_floor,
@@ -188,45 +188,32 @@ def test_index_coding_roundtrip(n):
 def test_enumeration_cap():
     with pytest.raises(ResourceCapError):
         enumerate_codewords(CodeParams.from_values(30, 0, 0, 0, 0))
-    with pytest.raises(ResourceCapError):
-        bucket_census(25)
+    with pytest.raises(ResourceCapError, match=f"cap {DEFAULT_ENUMERATION_CAP}$"):
+        bucket_census(DEFAULT_ENUMERATION_CAP + 1)
     with pytest.raises(ValueError):
         bucket_census(5)
     with pytest.raises(ValueError):
         code._shared_classes(5, MODE_BUCKET)
-    assert enumeration_cap(10) == 10
-    os.environ["TWOEDIT_ENUM_CAP"] = "6"
-    try:
-        with pytest.raises(ResourceCapError):
-            bucket_census(7)
-        os.environ["TWOEDIT_ENUM_CAP"] = "x"
-        with pytest.raises(ValueError, match="^TWOEDIT_ENUM_CAP needs an integer, got 'x'$"):
-            enumeration_cap()
-    finally:
-        del os.environ["TWOEDIT_ENUM_CAP"]
+    with pytest.raises(ResourceCapError, match="^length 7 exceeds enumeration cap 6$"):
+        bucket_census(7, 6)
+    assert bucket_census(10, 10).total() == 1 << 10
 
 
-def test_negative_enumeration_cap_is_rejected(monkeypatch):
-    monkeypatch.delenv("TWOEDIT_ENUM_CAP", raising=False)
+def test_negative_enumeration_cap_is_rejected():
     with pytest.raises(ValueError, match="enumeration cap must be at least 0, got -1"):
         bucket_census(9, -1)
-    monkeypatch.setenv("TWOEDIT_ENUM_CAP", "-3")
     with pytest.raises(ValueError, match="got -3"):
-        enumeration_cap()
-    with pytest.raises(ValueError, match="got -3"):
-        enumerate_codewords(CodeParams.from_values(9, 0, 0, 0, 0))
+        enumerate_codewords(CodeParams.from_values(9, 0, 0, 0, 0), -3)
     # a cap of 0 is valid and admits no length
-    assert enumeration_cap(0) == 0
     with pytest.raises(ResourceCapError):
         bucket_census(9, 0)
 
 
-def test_enumeration_cap_holds_on_a_cache_hit(monkeypatch):
+def test_enumeration_cap_holds_on_a_cache_hit():
     params = CodeParams.from_values(12, 0, 0, 0, 0)
     enumerate_codewords(params)  # warm the cache
-    monkeypatch.setenv("TWOEDIT_ENUM_CAP", "8")
     with pytest.raises(ResourceCapError):
-        enumerate_codewords(params)
+        enumerate_codewords(params, cap=8)
 
 
 class SerialPool:

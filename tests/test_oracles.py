@@ -17,7 +17,6 @@ ALLOWED = {
         # exceptions
         "AlignmentError",
         "NoRelationError",
-        "RoundBudgetError",
         "SeparationError",
         # result dataclasses
         "Alignment",
