@@ -15,7 +15,7 @@ import functools
 import random
 import sys
 
-from . import analysis, channel, code, decoder
+from . import channel, code
 from .syndrome import MIN_CODE_LENGTH, SyndromeTuple, sign_preserving_number, syndrome_tuple
 from .words import Word, adjacency_profile, pad, parse_word, read_words
 
@@ -47,14 +47,23 @@ def _residues(st: SyndromeTuple, keys: tuple[str, ...]) -> dict:
 _HOW_MANY = {None: "comma-separated integers", 2: "two comma-separated integers"}
 
 
+def _integer(text: str) -> int:
+    """``text`` as an integer: ASCII digits after an optional minus sign.
+    ``int`` alone would also take "+1", "1_0", " 1" and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _ints(text: str, flag: str, count: int | None = None) -> tuple[int, ...]:
     """The comma-separated integers of ``text``, the value of ``flag``;
     exactly ``count`` of them unless ``count`` is None."""
     try:
-        values = tuple(int(v) for v in text.split(","))
+        values = tuple(_integer(v) for v in text.split(","))
         if count is None or len(values) == count:
             return values
-    except ValueError:
+    except argparse.ArgumentTypeError:
         pass
     raise ValueError(f"{flag} needs {_HOW_MANY[count]}, got {text!r}")
 
@@ -153,6 +162,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    from . import decoder  # imported here, so that other commands never load it
+
     p = _params(args)
     fields = {"n": p.n, **_residues(p.residues, K_KEYS)}
     status = EXIT_OK
@@ -239,6 +250,8 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from . import analysis  # as decoder in _cmd_decode
+
     x, y = parse_word(args.x), parse_word(args.y)
     sep = analysis.separate_errors(x, y, args.k)
     classified = analysis.classify_errors(sep.u, sep.v, sep.alignment)
@@ -265,6 +278,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
+    from . import analysis
+
     x, y = parse_word(args.x), parse_word(args.y)
     i, j = _ints(args.cut, "--cut", 2)
     rel = _ints(args.rel, "--rel", 2) if args.rel is not None else (None, None)
@@ -280,7 +295,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser, io_words: bool = False, cap: bool = False) -> None:
     sub.add_argument("--machine", action="store_true", help="one key=value record per line")
     if cap:
-        sub.add_argument("--enum-cap", type=int, default=None, help="enumeration length cap")
+        sub.add_argument("--enum-cap", type=_integer, default=None, help="enumeration length cap")
     if io_words:
         sub.add_argument("words", nargs="*", help="words as 0/1 strings (default: stdin)")
         sub.add_argument("--input", help="file of words, one per line")
@@ -290,7 +305,9 @@ def _add_command(subs, name: str, handler, summary: str, params: bool = False):
     sub = subs.add_parser(name, help=summary)
     sub.set_defaults(handler=handler)
     if params:
-        sub.add_argument("--n", type=int, required=True, help=f"code length (>= {MIN_CODE_LENGTH})")
+        sub.add_argument(
+            "--n", type=_integer, required=True, help=f"code length (>= {MIN_CODE_LENGTH})"
+        )
         sub.add_argument("--params", required=True, help="residues k1,k2,k3,k4")
     return sub
 
@@ -319,18 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, cap=True)
 
     p = _add_command(subs, "census", _cmd_census, "syndrome class sizes over the whole space")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--top", type=int, default=5, help="how many classes to list")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--top", type=_integer, default=5, help="how many classes to list")
     _add_common(p, cap=True)
 
     p = _add_command(subs, "best-params", _cmd_best_params, "parameters of the largest class")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     _add_common(p, cap=True)
 
     p = _add_command(
         subs, "encode", _cmd_encode, "codeword with the given lexicographic index", params=True
     )
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", type=_integer, required=True)
     _add_common(p, cap=True)
 
     p = _add_command(subs, "rank", _cmd_rank, "lexicographic index of a codeword", params=True)
@@ -343,18 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     how = p.add_mutually_exclusive_group()
     how.add_argument("--pattern", help="pattern spec, e.g. sub@4=1,del@2,ins@0=1")
     how.add_argument("--random", action="store_true", help="seeded random pattern instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     _add_common(p, io_words=True)
 
     p = _add_command(subs, "verify", _cmd_verify, "pairwise distance sweep over all classes")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument(
         "--mode",
         choices=(code.MODE_BUCKET, code.MODE_EXACT),
         default=code.MODE_BUCKET,
         help="group by residues (bucket) or by exact weight sums (exact)",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_integer, default=1)
     _add_common(p, cap=True)
 
     p = subs.add_parser("analyze", help="sign-preserving numbers, classification, segmentation")
@@ -369,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(actions, "classify", _cmd_classify, "separate a pair's errors, classify them")
     p.add_argument("--x", required=True, help="first word")
     p.add_argument("--y", required=True, help="second word")
-    p.add_argument("--k", type=int, default=5, help="target separation")
+    p.add_argument("--k", type=_integer, default=5, help="target separation")
     _add_common(p)
 
     p = _add_command(actions, "segment", _cmd_segment, "splice one filler into a pair")

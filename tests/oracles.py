@@ -455,6 +455,66 @@ def candidate_preimages_ball(received: Word, n: int) -> set[Word]:
     return out
 
 
+def single_edit_values(v: int, m: int, target: int) -> list[int]:
+    """The words of length ``target`` (m - 1, m or m + 1) one edit away from
+    the length-m packed word ``v``, with repeats: the decoder's first-edit
+    builder, copied.  Bit k is flipped or deleted, or a bit inserted with k
+    bits to its right, as a copy of its right neighbour or the other symbol."""
+    if target == m:
+        return [v ^ (1 << k) for k in range(m)]
+    if target == m - 1:
+        w = v ^ (v >> 1)
+        return [v ^ (w & -(1 << k)) for k in range(m)]
+    w = v ^ (v << 1)
+    copies = [v ^ (w & -(1 << k)) for k in range(m + 1)]
+    return copies + [c ^ (1 << k) for k, c in enumerate(copies)]
+
+
+def preimage_values_ball(received: Word, n: int) -> set[int]:
+    """Packed values of all length-n words within two edits of ``received``:
+    every first edit onto a length within one of n, then every second edit
+    onto length n (a word within one edit is also exactly two away)."""
+    v, m = received.value, len(received)
+    if abs(m - n) > MAX_EDITS:
+        raise ReceivedLengthError(
+            f"received length {m} outside [{n - MAX_EDITS}, {n + MAX_EDITS}]"
+        )
+    out: set[int] = set()
+    for m1 in range(max(m, n) - 1, min(m, n) + 2):
+        for v1 in set(single_edit_values(v, m, m1)):
+            out.update(single_edit_values(v1, m1, n))
+    return out
+
+
+def second_edit_sums(received: Word, n: int) -> list[tuple[int, tuple[int, ...], bool]]:
+    """Every two-edit path from ``received`` onto length n, as the word it
+    ends on, that word's unreduced sums (s0, s1, s2, count) by the bit loop,
+    and whether its second edit is a flip that keeps the count."""
+    v, m = received.value, len(received)
+    paths = []
+    for m1 in range(max(m, n) - 1, min(m, n) + 2):
+        for v1 in set(single_edit_values(v, m, m1)):
+            count1 = padded_weight_sums_loop(v1, m1)[3]
+            for c in set(single_edit_values(v1, m1, n)):
+                sums = padded_weight_sums_loop(c, n)
+                paths.append((c, sums, m1 == n and sums[3] == count1))
+    return paths
+
+
+def placed_preimages(paths, residues: SyndromeTuple) -> set[int]:
+    """The words of ``second_edit_sums`` paths whose count and s0 residues
+    match ``residues``, and whose s1 residue does too where the second edit
+    is a flip that keeps the count: what the decoder's placement keeps."""
+    m0, m1, _, m3 = moduli(residues.n)
+    return {
+        c
+        for c, (s0, s1, _, count), keeps_count_flip in paths
+        if count % m3 == residues.s3
+        and s0 % m0 == residues.s0
+        and (not keeps_count_flip or s1 % m1 == residues.s1)
+    }
+
+
 def vt_weight_vector(order: int, n: int) -> tuple[int, ...]:
     """The weight vector (1^order, 2^order, ..., n^order)."""
     if order not in (0, 1, 2):

@@ -1,9 +1,13 @@
 import argparse
 import gc
+import importlib
 import json
 import multiprocessing
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ from twoedit.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    _integer,
     build_parser,
     main,
 )
@@ -211,6 +216,40 @@ def test_a_flag_names_itself_on_a_bad_value(capsys, flag, text):
     status, out, err = run_cli(capsys, *argv, flag, text)
     assert status == EXIT_USAGE and out == ""
     assert err == f"error: {flag} needs {wanted}, got '{text}'\n"
+
+
+def all_actions(parser: argparse.ArgumentParser):
+    """Every option and positional of ``parser`` and of its subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from all_actions(sub)
+        else:
+            yield action
+
+
+# what Python's int() takes and the CLI does not
+NOT_ASCII_INTEGERS = ("1_0", "+1", " 1", "1\n", "\u0663", "\uff11", "--1", "-", "", "0x1")
+
+
+def test_every_integer_option_uses_the_ascii_parser():
+    converters = {action.type for action in all_actions(build_parser())} - {None}
+    assert converters == {_integer}
+    assert [_integer(text) for text in ("0", "12", "-3", "007", "-0")] == [0, 12, -3, 7, 0]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS)
+def test_integers_are_ascii_digits_only(capsys, text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        _integer(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["census", f"--n={text}"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument --n: invalid int value: {text!r}" in capsys.readouterr().err
+    vector = f"1,{text},2"
+    status, out, err = run_cli(capsys, "analyze", "sigma", "--vector", vector)
+    assert status == EXIT_USAGE and out == ""
+    assert err == f"error: --vector needs comma-separated integers, got {vector!r}\n"
 
 
 def test_verify_violation_exit_and_witness(capsys, monkeypatch):
@@ -487,3 +526,27 @@ def test_reusing_the_parser_is_safe(capsys, monkeypatch):
     assert run_cli(capsys, "analyze", "sigma", "--vector", "1,2")[:2] == (EXIT_OK, "1\n")
     status, out, _ = run_cli(capsys, "analyze", "sigma", "--x", "0110", "--y", "0101")
     assert status == EXIT_OK and out.startswith("profile difference ")
+
+
+def test_importing_the_cli_leaves_decoder_and_analysis_unloaded():
+    # each is imported by the first command that uses it
+    code = "import sys, twoedit.cli; print(*sorted(m for m in sys.modules if 'twoedit' in m))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "twoedit.cli" in loaded
+    assert "twoedit.decoder" not in loaded and "twoedit.analysis" not in loaded
+
+
+def test_every_package_export_resolves_on_first_use():
+    import twoedit
+
+    for name in twoedit.__all__:
+        module = importlib.import_module(f"twoedit.{twoedit._EXPORTS[name]}")
+        assert getattr(twoedit, name) is getattr(module, name)
+    namespace: dict = {}
+    exec("from twoedit import *", namespace)
+    assert set(twoedit.__all__) <= set(namespace) and set(twoedit.__all__) <= set(dir(twoedit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        twoedit.no_such_name
