@@ -35,18 +35,24 @@ cells 3a + b, and since no cell depends on the total s, the cell a = b = s
 of row 0 prices every shape with s deletions a side.  Only costs 0..4 are
 ever read, so each cost t and cell is one integer: bit n - i of reach[t][k]
 is set iff the state of row i in cell k can finish with at most t
-mismatched pairs.  Each set is the least fixed point of its moves, built in
-order of t, then k.  Its seeds are row n of cell 0, a mismatch from
-reach[t - 1] of the same cell, a V deletion from cell k - 1 in the same row
-and a U deletion from cell k - 3 one row down; a match then climbs a run of
-equal pairs, and one addition carries every seed up its run at once
-(Myers' bit-parallel edit distance works the same way).  A walk along an
-optimal path reads the move masks that seeded the sets: it takes a move
-only where the move's mask holds the state's row, and asks whether the
-move's next state costs exactly the remaining rem, less the move's price.
-A state costs at most a move's price plus the cost of the move's next
-state, so that next state never costs less, and "exactly" is "at most":
-one bit of reach[rem], or of reach[rem - 1] after a substitution.
+mismatched pairs.  Each set is the least fixed point of its moves.  Its
+seeds are row n of cell 0, a mismatch from reach[t - 1] of the same cell, a
+V deletion from cell k - 1 in the same row and a U deletion from cell k - 3
+one row down; a match then climbs a run of equal pairs, and one addition
+carries every seed up its run at once (Myers' bit-parallel edit distance
+works the same way).  The sets are built on demand: reading a cell first
+builds the cells its seeds read, so a shape's test builds only the cells
+(t, 3a + b) with t <= 2r and a, b <= s, and a pair answered by a small
+shape never builds the others.  A walk along an optimal path reads the
+move masks that seeded the sets: it takes a move only where the move's
+mask holds the state's row, and asks whether the move's next state costs
+exactly the remaining rem, less the move's price.  A state costs at most a
+move's price plus the cost of the move's next state, so that next state
+never costs less, and "exactly" is "at most": one bit of reach[rem], or of
+reach[rem - 1] after a substitution.  A match changes neither the cell nor
+rem, so the rows where a match is allowed and its next state is in
+reach[rem] form runs, and the walk takes a whole run of matches in one
+step, down to the run's first gap.
 
 All positions below are 1-based, matching the convention used by error
 patterns and reports.
@@ -314,9 +320,9 @@ def segment_once(x: Word, y: Word, alignment: Alignment, cut: tuple[int, int]) -
 
 # --- canonical alignment search -------------------------------------------
 
-# (a, b, 3a + b, a - b + 2): a cell, its index in a level and the index of its
-# offset d = j - i = a - b in the per-offset masks, b ascending within each a
-_CELLS = tuple((a, b, 3 * a + b, a - b + 2) for a in range(3) for b in range(3))
+# (a, b, a - b + 2) of cell k = 3a + b: the debts and the index of the offset
+# d = j - i = a - b in the per-offset masks
+_CELLS = tuple((a, b, a - b + 2) for a in range(3) for b in range(3))
 _MAX_COST = 4  # the 2r of the largest shape, r = 2
 
 
@@ -344,66 +350,85 @@ def _fill_runs(seed: int, runs: int) -> int:
     return seed | carry | (runs & ((runs + carry) ^ runs))
 
 
-def _reach_sets(x: Word, y: Word) -> tuple[list[list[int]], tuple]:
-    """reach[t][3a + b]: bit n - i is set iff the alignment can be finished
+class _ReachSets:
+    """The reach sets of one pair, each cell built on its first read.
+
+    ``cell(t, 3a + b)``: bit n - i is set iff the alignment can be finished
     with at most t mismatched pairs after consuming i of x and j of y, while
     x still owes a deletions and y owes b = a + i - j, 0 <= a, b <= 2, for
     t = 0..4 (deletions and mismatches are restricted to interior
-    positions).  No cell depends on s: bit n of reach[t][4s] tells whether
-    a shape with s deletions a side fits t mismatches.  The move masks that
-    seed the sets come with them: bit n - i of equal[d + 2], unequal[d + 2],
-    interior or del_v[d + 2] allows that move out of row i, d = j - i."""
-    n = len(x)
-    interior, pairs, del_v = _row_masks(n)
+    positions).  No cell depends on s: bit n of cell(t, 4s) tells whether a
+    shape with s deletions a side fits t mismatches.  Building a cell builds
+    the cells its seeds read first, so ``built[t][k]`` holds a cell once the
+    closure of a read reached it, else None.  Bit n - i of equal[d + 2],
+    unequal[d + 2], interior or del_v[d + 2] allows that move out of row i,
+    d = j - i."""
+
+    __slots__ = ("built", "equal", "unequal", "interior", "del_v")
+
+    def __init__(self, equal: list[int], unequal: list[int], interior: int, del_v) -> None:
+        self.built: list[list[int | None]] = [[None] * 9 for _ in range(_MAX_COST + 1)]
+        self.equal, self.unequal, self.interior, self.del_v = equal, unequal, interior, del_v
+
+    def cell(self, t: int, k: int) -> int:
+        got = self.built[t][k]
+        if got is None:
+            a, b, e = _CELLS[k]
+            seed = 0 if k else 1  # row n with nothing owed
+            if t:
+                seed |= self.unequal[e] & (self.cell(t - 1, k) << 1)
+            if b:
+                seed |= self.del_v[e] & self.cell(t, k - 1)
+            if a:
+                seed |= self.interior & (self.cell(t, k - 3) << 1)
+            got = self.built[t][k] = _fill_runs(seed, self.equal[e])
+        return got
+
+
+def _reach_sets(x: Word, y: Word) -> _ReachSets:
+    """The pair's reach sets, none built yet, with the move masks that seed
+    them."""
+    interior, pairs, del_v = _row_masks(len(x))
     xv, yv = x.value << 1, y.value
     equal, unequal = [], []
     for e in range(5):  # the offset d = e - 2 puts y[i + d] beside x[i]
         diff = xv ^ (yv << (e - 1) if e else yv >> 1)
         equal.append(pairs[e] & ~diff)
         unequal.append(pairs[e] & diff & interior)
-    reach = []
-    below = [0] * 9
-    for _ in range(_MAX_COST + 1):
-        level: list[int] = []
-        for a, b, k, e in _CELLS:
-            seed = unequal[e] & (below[k] << 1)
-            if not k:
-                seed |= 1  # row n with nothing owed
-            if b:
-                seed |= del_v[e] & level[k - 1]
-            if a:
-                seed |= interior & (level[k - 3] << 1)
-            level.append(_fill_runs(seed, equal[e]))
-        reach.append(level)
-        below = level
-    return reach, (equal, unequal, interior, del_v)
+    return _ReachSets(equal, unequal, interior, del_v)
 
 
-def _reconstruct(n: int, s: int, reach, masks) -> tuple[list[int], list[int], list[int]]:
+def _reconstruct(n: int, s: int, reach: _ReachSets) -> tuple[list[int], list[int], list[int]]:
     """U deletions, substitutions (U positions) and V deletions of the
-    leftmost optimal alignment, preferring match > sub > del_u > del_v."""
-    equal, unequal, interior, del_v = masks
+    leftmost optimal alignment, preferring match > sub > del_u > del_v.
+    The walk reads only cells (t, 3a + b) with t <= rem and a, b <= s, the
+    closure of the first cell (rem, 4s) that admits row 0, so all are built."""
+    rem = next(t for t in range(_MAX_COST + 1) if reach.cell(t, 4 * s) >> n & 1)
+    built, equal, unequal, interior, del_v = (
+        reach.built, reach.equal, reach.unequal, reach.interior, reach.del_v
+    )
     i = j = 0
     a = b = s
-    rem = next(t for t, level in enumerate(reach) if level[4 * s] >> n & 1)
     dels_u: list[int] = []
     subs: list[int] = []
     dels_v: list[int] = []
     while i < n or j < n:
         k, e, row = 3 * a + b, a - b + 2, n - i  # row i's bit; row i + 1's is row - 1
-        if equal[e] >> row & 1 and reach[rem][k] >> (row - 1) & 1:
-            i += 1
-            j += 1
-        elif rem and unequal[e] >> row & 1 and reach[rem - 1][k] >> (row - 1) & 1:
+        run = equal[e] & (built[rem][k] << 1)  # rows whose match stays in reach
+        if run >> row & 1:  # take every match down to the run's first gap
+            step = row + 1 - (~run & ((2 << row) - 1)).bit_length()
+            i += step
+            j += step
+        elif rem and unequal[e] >> row & 1 and built[rem - 1][k] >> (row - 1) & 1:
             subs.append(i + 1)
             i += 1
             j += 1
             rem -= 1
-        elif a and interior >> row & 1 and reach[rem][k - 3] >> (row - 1) & 1:
+        elif a and interior >> row & 1 and built[rem][k - 3] >> (row - 1) & 1:
             dels_u.append(i + 1)
             i += 1
             a -= 1
-        elif b and del_v[e] >> row & 1 and reach[rem][k - 1] >> row & 1:
+        elif b and del_v[e] >> row & 1 and built[rem][k - 1] >> row & 1:
             dels_v.append(j + 1)
             j += 1
             b -= 1
@@ -421,18 +446,19 @@ def find_relation(
     """A relation carrying ``x`` to ``y``: s interior deletions on each side
     plus 2r substitution pairs (trivial fills added to reach an even count).
     By default the smallest relation (s + r, then s) is chosen; passing s
-    and/or r pins the shape.  One family of reach sets is built per call
-    and serves every shape: s deletions a side fit 2r mismatches when row 0
-    of cell a = b = s is in reach[2r], where x still owes a = s deletions
-    and y owes b = a + i - j = s.  Raises NoRelationError if nothing fits
-    within s + r = 2."""
+    and/or r pins the shape.  One family of reach sets is made per call
+    and serves every shape, building each cell on its first read: s
+    deletions a side fit 2r mismatches when row 0 of cell a = b = s is in
+    reach[2r], where x still owes a = s deletions and y owes
+    b = a + i - j = s.  Raises NoRelationError if nothing fits within
+    s + r = 2."""
     if len(x) != len(y):
         raise ValueError("related words must have equal length")
-    reach, masks = _reach_sets(x, y)
+    reach = _reach_sets(x, y)
     top = 1 << len(x)
     for cs, cr in _RELATION_ORDER:
-        if (s is None or cs == s) and (r is None or cr == r) and reach[2 * cr][4 * cs] & top:
-            dels_u, subs, dels_v = _reconstruct(len(x), cs, reach, masks)
+        if (s is None or cs == s) and (r is None or cr == r) and reach.cell(2 * cr, 4 * cs) & top:
+            dels_u, subs, dels_v = _reconstruct(len(x), cs, reach)
             subs = _with_trivial_fills(subs, dels_u, 2 * cr, len(x))
             return cs, cr, Alignment(tuple(dels_u), subs, tuple(dels_v))
     shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success / property verified, 1 property violated or decode
-failure (a witness is emitted), 2 usage error, 3 resource cap exceeded.
+Exit codes: 0 success / property verified, 1 property violated, or a decode,
+check or syndrome failure (a witness or failure record is emitted), 2 usage
+error, 3 resource cap exceeded.
 Machine mode (--machine) prints one record per line as space-separated
 key=value fields; output is byte-identical for identical configurations,
 including across worker counts.  Inside a value "%" is written "%25" and a
@@ -85,21 +86,33 @@ def _words(args: argparse.Namespace) -> list[Word]:
 
 
 def _cmd_syndrome(args: argparse.Namespace) -> int:
+    status = EXIT_OK
     for w in _words(args):
+        if len(w) < MIN_CODE_LENGTH:  # a record, and the batch goes on
+            why = f"syndromes are defined for length >= {MIN_CODE_LENGTH}, got {len(w)}"
+            _emit(args, "syndrome-failure", f"{w}: {why}", word=w, kind="length")
+            status = EXIT_VIOLATION
+            continue
         st = syndrome_tuple(w)
         _emit(args, "syndrome", f"{w}: {st.to_kv()}", word=w, n=st.n, **_residues(st, S_KEYS))
-    return EXIT_OK
+    return status
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     p = _params(args)
     fields = {"n": p.n, **_residues(p.residues, K_KEYS)}
     label = ",".join(str(v) for v in fields.values())
+    status = EXIT_OK
     for w in _words(args):
+        if len(w) != p.n:  # a record, and the batch goes on
+            why = f"word length {len(w)} does not match code length {p.n}"
+            _emit(args, "check-failure", f"{w}: {why}", word=w, kind="length", **fields)
+            status = EXIT_VIOLATION
+            continue
         member = code.is_codeword(w, p)
         human = f"{w}: {'member' if member else 'not a member'} of the code ({label})"
         _emit(args, "check", human, word=w, member="true" if member else "false", **fields)
-    return EXIT_OK
+    return status
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

@@ -404,36 +404,94 @@ def test_find_relation_matches_the_per_shape_search_on_padded_pairs(n):
 
 # maps the digit of a cost capped at 5 to "1" iff the cost is at most t
 _AT_MOST = [str.maketrans("012345", "1" * (t + 1) + "0" * (5 - t)) for t in range(5)]
+# 64 seeded orders in which to read all 45 cells (t, k) of a family
+_READ_ORDERS = [random.Random(i).sample(list(product(range(5), range(9))), 45) for i in range(64)]
 
 
-def _assert_reach_sets_match_the_banded_table(x, y):
-    """Bit n - i of reach[t][k] is set iff g[i][k] <= t, and each shape's walk
-    takes the table's path."""
-    reach, masks = analysis._reach_sets(x, y)
+def _assert_reach_sets_match_the_banded_table(x, y, rng):
+    """Read in a random order, bit n - i of cell(t, k) is set iff
+    g[i][k] <= t; and each shape's walk, on a family that has built nothing
+    yet, takes the table's path."""
+    reach = analysis._reach_sets(x, y)
     g = oracles.banded_suffix_costs(x, y)
-    for k in range(9):
-        column = "".join([str(min(row[k], 5)) for row in g])  # row 0 first: bit n
-        for t in range(5):
-            assert reach[t][k] == int(column.translate(_AT_MOST[t]), 2), (x, y, t, k)
+    columns = ["".join([str(min(row[k], 5)) for row in g]) for k in range(9)]  # row 0: bit n
+    for t, k in rng.choice(_READ_ORDERS):
+        assert reach.cell(t, k) == int(columns[k].translate(_AT_MOST[t]), 2), (x, y, t, k)
     for s in range(3):
         if g[0][4 * s] <= 4:
-            walk = analysis._reconstruct(len(x), s, reach, masks)
+            walk = analysis._reconstruct(len(x), s, analysis._reach_sets(x, y))
             assert walk == oracles.banded_reconstruct(x, y, s, g), (x, y, s)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_reach_sets_match_the_banded_table_exhaustive(n):
+    rng = random.Random(800 + n)
     words = [Word.from_int(v, n) for v in range(1 << n)]
     for x, y in product(words, repeat=2):
-        _assert_reach_sets_match_the_banded_table(x, y)
+        _assert_reach_sets_match_the_banded_table(x, y, rng)
 
 
 @pytest.mark.parametrize("n", (24, 48, 64, 128))
 def test_reach_sets_match_the_banded_table_on_padded_pairs(n):
-    rng = random.Random(700 + n)
+    rng, orders = random.Random(700 + n), random.Random(800 + n)
     for _ in range(60):
         x, y = (pad(w) for w in oracles.random_confusable_pair(rng, n - 2))
-        _assert_reach_sets_match_the_banded_table(x, y)
+        _assert_reach_sets_match_the_banded_table(x, y, orders)
+
+
+# cells built by find_relation(x, y) for each answered shape, None for no
+# relation: the union of the closures {(t, 3a + b): t <= 2r, a, b <= s} of
+# the shapes tested up to the answer, in _RELATION_ORDER
+_CELLS_BUILT = {(0, 0): 1, (0, 1): 3, (1, 0): 6, (0, 2): 8, (1, 1): 14, (2, 0): 19, None: 19}
+_SHAPE_PAIRS = {
+    (0, 0): ("00000", "00000"),
+    (0, 1): ("00000", "00010"),
+    (1, 0): ("00100", "01010"),
+    (0, 2): ("000000", "001110"),
+    (1, 1): ("0000100", "0111010"),
+    (2, 0): ("00011000", "01100110"),
+    None: ("00000", "00001"),
+}
+
+
+def _built_cells(monkeypatch, x, y):
+    """The shape find_relation answers (None for no relation) and the
+    (t, k) of every cell its family built."""
+    families = []
+    make = analysis._reach_sets
+    monkeypatch.setattr(
+        analysis, "_reach_sets", lambda x, y: families.append(make(x, y)) or families[-1]
+    )
+    try:
+        shape = find_relation(x, y)[:2]
+    except NoRelationError:
+        shape = None
+    monkeypatch.undo()
+    (family,) = families
+    built = family.built
+    return shape, {(t, k) for t, k in product(range(5), range(9)) if built[t][k] is not None}
+
+
+def _assert_lazy(shape, built):
+    assert len(built) == _CELLS_BUILT[shape], (shape, sorted(built))
+    if shape is not None and shape[0] <= 1:
+        assert all(k // 3 < 2 and k % 3 < 2 for _, k in built), (shape, sorted(built))
+
+
+def test_find_relation_builds_only_the_cells_its_answer_reads(monkeypatch):
+    for shape, (x, y) in _SHAPE_PAIRS.items():
+        got, built = _built_cells(monkeypatch, Word(x), Word(y))
+        assert got == shape, (x, y)
+        _assert_lazy(shape, built)
+    rng = random.Random(31)
+    seen = set()
+    for n in (12, 24, 48):
+        for _ in range(60):
+            x, y = (pad(w) for w in oracles.random_confusable_pair(rng, n))
+            shape, built = _built_cells(monkeypatch, x, y)
+            _assert_lazy(shape, built)
+            seen.add(shape)
+    assert {(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)} <= seen
 
 
 def test_fill_runs_matches_the_bitwise_closure():
