@@ -15,10 +15,11 @@ import argparse
 import functools
 import random
 import sys
+from typing import Iterator
 
 from . import channel, code
 from .syndrome import MIN_CODE_LENGTH, SyndromeTuple, sign_preserving_number, syndrome_tuple
-from .words import Word, adjacency_profile, pad, parse_word, read_words
+from .words import Word, adjacency_profile, pad, parse_word
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -34,7 +35,13 @@ def _emit(args: argparse.Namespace, record: str, human: str | None, **fields) ->
     """Print one record: its fields in machine mode, else ``human`` unless None."""
     if args.machine:
         escaped = {k: str(v).replace("%", "%25").replace(" ", "%20") for k, v in fields.items()}
-        print(" ".join([f"record={record}"] + [f"{k}={v}" for k, v in escaped.items()]))
+        line = " ".join([f"record={record}"] + [f"{k}={v}" for k, v in escaped.items()])
+        if not line.isprintable():  # a tab or a line break in a malformed word, say
+            from urllib.parse import quote  # here, as only such a word needs it
+
+            # names, "=" and the separating spaces are printable: only values change
+            line = "".join(c if c.isprintable() else quote(c) for c in line)
+        print(line)
     elif human is not None:
         print(human)
 
@@ -76,43 +83,74 @@ def _params(args: argparse.Namespace) -> code.CodeParams:
     return code.CodeParams.from_values(args.n, *parts)
 
 
-def _words(args: argparse.Namespace) -> list[Word]:
+def _texts(args: argparse.Namespace) -> list[tuple[str, int | None]]:
+    """The batch's words as text, each with its line number when read from
+    ``--input`` or stdin, where blank lines are skipped."""
     if args.words:
-        return [parse_word(w) for w in args.words]
+        return [(w, None) for w in args.words]
     if args.input:
         with open(args.input, encoding="ascii") as handle:
-            return read_words(handle)
-    return read_words(sys.stdin)
+            lines = handle.readlines()
+    else:
+        lines = sys.stdin.readlines()
+    return [(line, lineno) for lineno, line in enumerate(lines, 1) if line.strip()]
+
+
+def _words(args: argparse.Namespace) -> list[Word]:
+    """Every word of the batch; a malformed one is a usage error."""
+    return [parse_word(text, lineno) for text, lineno in _texts(args)]
+
+
+class _Batch:
+    """The words of a ``check``, ``syndrome`` or ``decode`` batch, parsed as
+    their turn comes.  A word that does not parse, or that ``fail`` is given,
+    gets a ``failure`` record (the word under ``key``, its kind, then
+    ``fields``) and the batch goes on; ``status`` ends as exit 1 if any did."""
+
+    def __init__(self, args: argparse.Namespace, failure: str, key: str, fields: dict) -> None:
+        self.args, self.failure, self.key, self.fields = args, failure, key, fields
+        self.status = EXIT_OK
+
+    def __iter__(self) -> Iterator[Word]:
+        for text, lineno in _texts(self.args):
+            try:
+                word = parse_word(text, lineno)
+            except ValueError as exc:
+                self.fail(text.strip(), "symbol", str(exc))
+            else:
+                yield word
+
+    def fail(self, word: Word | str, kind: str, why: str) -> None:
+        fields = {self.key: word, "kind": kind, **self.fields}
+        _emit(self.args, self.failure, f"{word}: {why}", **fields)
+        self.status = EXIT_VIOLATION
 
 
 def _cmd_syndrome(args: argparse.Namespace) -> int:
-    status = EXIT_OK
-    for w in _words(args):
-        if len(w) < MIN_CODE_LENGTH:  # a record, and the batch goes on
+    batch = _Batch(args, "syndrome-failure", "word", {})
+    for w in batch:
+        if len(w) < MIN_CODE_LENGTH:
             why = f"syndromes are defined for length >= {MIN_CODE_LENGTH}, got {len(w)}"
-            _emit(args, "syndrome-failure", f"{w}: {why}", word=w, kind="length")
-            status = EXIT_VIOLATION
+            batch.fail(w, "length", why)
             continue
         st = syndrome_tuple(w)
         _emit(args, "syndrome", f"{w}: {st.to_kv()}", word=w, n=st.n, **_residues(st, S_KEYS))
-    return status
+    return batch.status
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     p = _params(args)
     fields = {"n": p.n, **_residues(p.residues, K_KEYS)}
     label = ",".join(str(v) for v in fields.values())
-    status = EXIT_OK
-    for w in _words(args):
-        if len(w) != p.n:  # a record, and the batch goes on
-            why = f"word length {len(w)} does not match code length {p.n}"
-            _emit(args, "check-failure", f"{w}: {why}", word=w, kind="length", **fields)
-            status = EXIT_VIOLATION
+    batch = _Batch(args, "check-failure", "word", fields)
+    for w in batch:
+        if len(w) != p.n:
+            batch.fail(w, "length", f"word length {len(w)} does not match code length {p.n}")
             continue
         member = code.is_codeword(w, p)
         human = f"{w}: {'member' if member else 'not a member'} of the code ({label})"
         _emit(args, "check", human, word=w, member="true" if member else "false", **fields)
-    return status
+    return batch.status
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -128,10 +166,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise ValueError(f"--top must be at least 0, got {args.top}")
     census = code.bucket_census(args.n, args.enum_cap)
-    for rank, (st, count) in enumerate(census.top(args.top), 1):
+    top = census.top(args.top)
+    for rank, (st, count) in enumerate(top, 1):
         human = f"#{rank}: count={count} {st.to_kv()}"
         _emit(args, "bucket", human, n=args.n, rank=rank, **_residues(st, S_KEYS), count=count)
-    best, best_count = census.largest()
+    # the same tie-break: the first of the top list is the largest class
+    best, best_count = top[0] if top else census.largest()
     r = code.redundancy(code.CodeParams(best), size=best_count)
     bound = f"{code.redundancy_bound(args.n):.6f}"
     _emit(
@@ -178,23 +218,19 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     from . import decoder  # imported here, so that other commands never load it
 
     p = _params(args)
-    fields = {"n": p.n, **_residues(p.residues, K_KEYS)}
-    status = EXIT_OK
-    for w in _words(args):
+    batch = _Batch(args, "decode-failure", "received", {"n": p.n, **_residues(p.residues, K_KEYS)})
+    for w in batch:
         try:
             decoded = decoder.decode(w, p)
         except decoder.NoCandidateError:
-            kind, why = "no_candidate", f"no codeword within {decoder.MAX_EDITS} edits"
+            batch.fail(w, "no_candidate", f"no codeword within {decoder.MAX_EDITS} edits")
         except decoder.AmbiguousDecodeError:
-            kind, why = "ambiguous", "ambiguous decode (parameters unverified?)"
+            batch.fail(w, "ambiguous", "ambiguous decode (parameters unverified?)")
         except decoder.ReceivedLengthError as exc:
-            kind, why = "length", str(exc)
+            batch.fail(w, "length", str(exc))
         else:
             _emit(args, "decode", str(decoded), received=w, word=decoded)
-            continue
-        _emit(args, "decode-failure", f"{w}: {why}", received=w, kind=kind, **fields)
-        status = EXIT_VIOLATION
-    return status
+    return batch.status
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:

@@ -20,21 +20,34 @@ popcounts of the two masks and ``H_k`` and ``L_k`` their transition sums,
 
     s_k = (c_hi * P_k(n + 2) - H_k(hi)) + (lc * P_k(n + 2) - L_k(lastbit(hi), lo))
 
-and the padded adjacency count is ``c_hi + lc``.  The tail table is built
-once per sweep, one row of 2^t entries for each head count c = 0..h (c fixes
-the head's last bit: it is odd iff that bit is 1).  Each word then costs
-additions and one mixed-radix pack of its four reduced sums.  With the
-moduli of ``moduli(n)`` as radices the pack is
-``SyndromeTuple.pack``.  The exact sweep packs with radices (n+2)^2,
-(n+2)^3, (n+2)^4 and n+2: the count is at most n+1 and sum k is below
-(n+1) * (n+2)^(k+1), so every reduction is the identity and the key holds
-the unreduced sums.
+and the padded adjacency count is ``c_hi + lc``.  A word's key is the
+mixed-radix pack of its four reduced sums, each reduced sum scaled to its
+place: k_j = (s_j % r_j) * p_j, below q_j = r_j * p_j.  With the moduli of
+``moduli(n)`` as radices the pack is ``SyndromeTuple.pack``.  The exact
+sweep packs with radices (n+2)^2, (n+2)^3, (n+2)^4 and n+2: the count is at
+most n+1 and sum k is below (n+1) * (n+2)^(k+1), so every reduction is the
+identity and the key holds the unreduced sums.
+
+The sweep works on whole tail rows, each packed into one integer with one
+fixed-width field per tail (SIMD within a register, Lamport 1975).  Once per
+sweep each tail's scaled, reduced terms l_j are packed into one integer per
+component and last head bit, and the four components into one row sum for
+each head count c = 0..h (c fixes the head's last bit: it is odd iff that
+bit is 1).  A head's scaled, reduced terms a_j then give the keys of all 2^t
+of its words by a dozen big-integer operations: for reduced a and l,
+(a + l) % q == a + l - q * [l >= q - a], so the head adds a_0 + a_1 + a_2 to
+every field of its row sum, and for each component j subtracts q_j from the
+fields where l_j >= q_j - a_j, which a subtraction marks in each field's
+top bit.  The fields are 32 or 64 bits wide, whichever holds every key at
+the radices (``_field_type``), and ``array`` unpacks them into the list of
+keys.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -131,48 +144,100 @@ def enumerate_codewords(p: CodeParams, cap: int | None = None) -> list[Word]:
     return [Word.from_int(v, p.n) for v in _codeword_values(p, cap)]
 
 
+def _field_type(radices: tuple[int, int, int, int]) -> str:
+    """The ``array`` type code of the packed rows' fields: the narrower of
+    "I" and "Q" that holds every key at these radices.
+
+    A field holds a key plus up to three unreduced overflows, so it stays
+    below 2 * (q0 + q1 + q2), q_k being the pack's place value above
+    component k; that bound also keeps every q_k below the field's top bit,
+    which flags the overflows.  Raises if even "Q" is too narrow.
+    """
+    from array import array  # here, so that importing the CLI does not load it
+
+    r0, r1, r2, r3 = radices
+    q2 = r2 * r3
+    q1 = r1 * q2
+    for typecode in "IQ":
+        bits = 8 * array(typecode).itemsize
+        if 2 * (r0 * q1 + q1 + q2) <= 1 << bits:
+            return typecode
+    raise ValueError(f"keys at radices {radices} do not fit {bits}-bit fields")
+
+
 def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[int, list[int]]]:
     """For each head, ascending, yield ``(base, keys)``: the packed value of
     the head's first word and the packed keys of its 2^t words in ascending
     order (see the module docstring).
     Key = ((s0 % r0 * r1 + s1 % r1) * r2 + s2 % r2) * r3 + c % r3.
+    Raises ValueError before the first head if no field type holds the keys.
     """
+    from array import array  # as in _field_type
+
+    typecode = _field_type(radices)
+    bits = 8 * array(typecode).itemsize
     h = n // 2
     t = n - h
     r0, r1, r2, r3 = radices
-    # Each sum is scaled to its place in the pack in advance, since
-    # (s % r) * p == (s * p) % (r * p).
     p2 = r3
     p1 = r2 * p2
     p0 = r1 * p1
     q0, q1, q2 = r0 * p0, r1 * p1, r2 * p2
     f0, f1, f2 = power_sums(n + 2)
-    # each tail's terms: the transitions into the tail and the right pad,
-    # entered after each last head bit, at their places in the n + 1 bit mask
+    size = bits >> 3 << t  # bytes per packed row
+    ones = (1 << (bits << t)) // ((1 << bits) - 1)  # 1 in every field
+    top = bits - 1
+
+    def packed(values) -> int:
+        return int.from_bytes(array(typecode, values).tobytes(), sys.byteorder)
+
+    # Each tail's terms after a last head bit 0: the transitions into the
+    # tail and the right pad, at their places in the n + 1 bit mask.
     low = (1 << (t + 1)) - 1
-    tails = []
-    for last in (0, 1):
-        row = []
-        for v in range(last << t, (last + 1) << t):
-            m = (v ^ (v << 1)) & low
-            lc = m.bit_count()
-            l0, l1, l2 = transition_sums(m, n + 1)
-            row.append(((lc * f0 - l0) * p0, (lc * f1 - l1) * p1, (lc * f2 - l2) * p2, lc))
-        tails.append(row)
-    # One row per head count c, which fixes the head's last bit; the reduced
-    # count (c + lc) % r3 is below p2, so it rides in the third term.
-    rows = [
-        [(l0, l1, l2 + (c + lc) % r3) for l0, l1, l2, lc in tails[c & 1]]
-        for c in range(h + 1)
-    ]
+    terms = []
+    for lo in range(1 << t):
+        m = (lo ^ (lo << 1)) & low
+        c = m.bit_count()
+        s0, s1, s2 = transition_sums(m, n + 1)
+        terms.append((c * f0 - s0, c * f1 - s1, c * f2 - s2, c))
+    # After a last head bit 1 the transition into the tail, at position h,
+    # flips: it joins the tails that start with 0 and leaves the others.
+    d0, d1, d2 = (f - w for f, w in zip((f0, f1, f2), power_sums(h + 1)))
+    flipped = [(x0 + d0, x1 + d1, x2 + d2, c + 1) for x0, x1, x2, c in terms[: 1 << t - 1]]
+    flipped += [(x0 - d0, x1 - d1, x2 - d2, c - 1) for x0, x1, x2, c in terms[1 << t - 1 :]]
+    # Per last head bit, one packed column per component, reduced and scaled.
+    columns = []
+    for tails in (terms, flipped):
+        x0, x1, x2, lc = zip(*tails)
+        b0 = packed([x % r0 * p0 for x in x0])
+        b1 = packed([x % r1 * p1 for x in x1])
+        b2 = packed([x % r2 * p2 for x in x2])
+        columns.append((b0, b1, b2, lc))
+    # One row sum per head count c, which fixes the head's last bit; the
+    # reduced count (c + lc) % r3 is its own component, below p2.
+    rows = []
+    for c in range(h + 1):
+        b0, b1, b2, lc = columns[c & 1]
+        rows.append(b0 + b1 + b2 + packed([(c + x) % r3 for x in lc]))
+    # The columns with the top bit of every field set: subtracting q - a
+    # leaves that bit set exactly where l >= q - a, and since for reduced a
+    # and l, (a + l) % q == a + l - q * [l >= q - a], each head reduces all
+    # its fields at once.
+    half = ones << top
+    bounds = [(b0 + half, b1 + half, b2 + half) for b0, b1, b2, _ in columns]
     for hi in range(1 << h):
         m = hi ^ (hi >> 1)
         c = m.bit_count()
         a0, a1, a2 = transition_sums(m, h)
-        a0 = (c * f0 - a0) * p0
-        a1 = (c * f1 - a1) * p1
-        a2 = (c * f2 - a2) * p2
-        yield hi << t, [(a0 + l0) % q0 + (a1 + l1) % q1 + (a2 + l2) % q2 for l0, l1, l2 in rows[c]]
+        a0 = (c * f0 - a0) % r0 * p0
+        a1 = (c * f1 - a1) % r1 * p1
+        a2 = (c * f2 - a2) % r2 * p2
+        b0, b1, b2 = bounds[c & 1]
+        keys = rows[c] + (a0 + a1 + a2) * ones
+        keys -= ((b0 - (q0 - a0) * ones) >> top & ones) * q0
+        keys -= ((b1 - (q1 - a1) * ones) >> top & ones) * q1
+        keys -= ((b2 - (q2 - a2) * ones) >> top & ones) * q2
+        yield hi << t, array(typecode, keys.to_bytes(size, sys.byteorder)).tolist()
 
 
 @dataclass(frozen=True)
@@ -287,6 +352,16 @@ class SweepReport:
         return not self.violations
 
 
+def _radices(n: int, mode: str) -> tuple[int, int, int, int]:
+    """The radices a sweep packs its keys with: the moduli, or in exact mode
+    radices above every unreduced sum (see the module docstring)."""
+    if mode == MODE_BUCKET:
+        return moduli(n)
+    if mode == MODE_EXACT:
+        return ((n + 2) ** 2, (n + 2) ** 3, (n + 2) ** 4, n + 2)
+    raise ValueError(f"unknown sweep mode {mode!r}")
+
+
 def _shared_classes(
     n: int, mode: str, cap: int | None = None
 ) -> tuple[int, list[tuple[tuple[int, ...], list[int]]]]:
@@ -294,12 +369,7 @@ def _shared_classes(
     words as ascending ``(key, members)`` pairs: a residue tuple, or the
     exact weight sums, with its members in ascending packed value."""
     _check_cap(n, cap)
-    if mode not in (MODE_BUCKET, MODE_EXACT):
-        raise ValueError(f"unknown sweep mode {mode!r}")
-    if mode == MODE_BUCKET:
-        radices = moduli(n)
-    else:  # above every unreduced sum (see the module docstring)
-        radices = ((n + 2) ** 2, (n + 2) ** 3, (n + 2) ** 4, n + 2)
+    radices = _radices(n, mode)
     first: dict[int, int] = {}
     members: dict[int, list[int]] = {}
     for base, keys in _split_keys(n, radices):

@@ -85,6 +85,10 @@ def power_sums(x: int) -> tuple[int, int, int]:
 _FIELD_BITS = 128
 _FIELD = (1 << _FIELD_BITS) - 1
 _rows: tuple[list[int], ...] = ()  # row c: byte c of a mask from the left
+# Rows kept for later calls: masks up to 2 048 bits, about 5.0 MB.  A longer
+# mask builds its further rows for that call alone, so one long word does
+# not pin their memory (about 19.5 KB a row) for the life of the process.
+_KEPT_ROWS = 256
 _entry = list.__getitem__
 
 
@@ -104,7 +108,7 @@ def transition_sums(mask: int, length: int) -> tuple[int, int, int]:
 
     One table lookup per byte: the rows depend only on the position, so
     every length shares them, and they are built up to the longest mask
-    seen.
+    seen, or up to ``_KEPT_ROWS`` rows (see there).
     """
     global _rows
     chunks = (length + 7) >> 3
@@ -112,7 +116,9 @@ def transition_sums(mask: int, length: int) -> tuple[int, int, int]:
     if len(rows) < chunks:
         # a new tuple, never one extended in place, keeps row c at index c
         # even if two threads grow the rows at once
-        _rows = rows = rows + tuple(_row(c) for c in range(len(rows), chunks))
+        kept = range(len(rows), min(chunks, _KEPT_ROWS))
+        _rows = rows = rows + tuple(_row(c) for c in kept)
+        rows += tuple(_row(c) for c in range(len(rows), chunks))
     packed = sum(map(_entry, rows, (mask << (-length & 7)).to_bytes(chunks, "big")))
     return packed & _FIELD, packed >> _FIELD_BITS & _FIELD, packed >> 2 * _FIELD_BITS
 

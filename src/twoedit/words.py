@@ -125,13 +125,3 @@ def parse_word(text: str, lineno: int | None = None) -> Word:
     except ValueError as exc:
         where = f" on line {lineno}" if lineno is not None else ""
         raise ValueError(f"{exc}{where}") from None
-
-
-def read_words(lines: Iterable[str]) -> list[Word]:
-    """Parse newline-terminated words; blank lines are skipped."""
-    out = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        out.append(parse_word(line, lineno))
-    return out

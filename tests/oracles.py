@@ -614,6 +614,55 @@ def transition_sums_loop(mask: int, length: int) -> tuple[int, int, int]:
     return sums[0], sums[1], sums[2]
 
 
+def split_terms(n: int) -> tuple[list, list[list]]:
+    """The two halves of the split-word sweep (see the ``code`` docstring),
+    from the bit loop and power sums of its own: per head ``hi``, its
+    transition count c and the sums c * P_k(n + 2) - H_k(hi); per last head
+    bit, per tail ``lo``, its count lc and the sums lc * P_k(n + 2) - L_k."""
+    h = n // 2
+    t = n - h
+    f = [sum(i**k for i in range(1, n + 3)) for k in range(3)]
+    heads = []
+    for hi in range(1 << h):
+        m = hi ^ (hi >> 1)
+        c = bin(m).count("1")
+        sums = transition_sums_loop(m, h)
+        heads.append((c, tuple(c * f[k] - sums[k] for k in range(3))))
+    low = (1 << (t + 1)) - 1
+    tails = []
+    for last in (0, 1):
+        row = []
+        for v in range(last << t, (last + 1) << t):
+            m = (v ^ (v << 1)) & low
+            lc = bin(m).count("1")
+            sums = transition_sums_loop(m, n + 1)
+            row.append((lc, tuple(lc * f[k] - sums[k] for k in range(3))))
+        tails.append(row)
+    return heads, tails
+
+
+def split_keys(n: int, radices: tuple[int, int, int, int]):
+    """``code._split_keys`` one word at a time: per head, ``(base, keys)``,
+    each key the mixed-radix pack of the word's four reduced sums.  Each sum
+    is scaled to its place in the pack before it is reduced, since
+    (s % r) * p == (s * p) % (r * p)."""
+    r0, r1, r2, r3 = radices
+    p2 = r3
+    p1 = r2 * p2
+    p0 = r1 * p1
+    q0, q1, q2 = r0 * p0, r1 * p1, r2 * p2
+    heads, tails = split_terms(n)
+    t = n - n // 2
+    # the reduced count (c + lc) % r3 is below p2, so it rides in the third term
+    rows = [
+        [(l0 * p0, l1 * p1, l2 * p2 + (c + lc) % r3) for lc, (l0, l1, l2) in tails[c & 1]]
+        for c in range(n // 2 + 1)
+    ]
+    for hi, (c, (a0, a1, a2)) in enumerate(heads):
+        a0, a1, a2 = a0 * p0, a1 * p1, a2 * p2
+        yield hi << t, [(a0 + l0) % q0 + (a1 + l1) % q1 + (a2 + l2) % q2 for l0, l1, l2 in rows[c]]
+
+
 def sweep_keys(n: int, exact: bool) -> list[tuple[int, int, int, int]]:
     """Per word, in ascending packed value: the four weight sums, reduced by
     ``moduli(n)`` unless ``exact``: the word-by-word sweep over the bit loop,

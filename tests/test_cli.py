@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from twoedit import analysis
+from twoedit import analysis, code
 from twoedit.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -191,7 +191,8 @@ def test_analyze_segment_worked_example(capsys):
 
 
 def test_usage_errors(capsys):
-    status, _, err = run_cli(capsys, "syndrome", "01a")
+    # outside the batches that give a failure record, a malformed word is a usage error
+    status, _, err = run_cli(capsys, "rank", "--n", "11", "--params", "8,10,2434,8", "01a")
     assert status == EXIT_USAGE and "error" in err
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "segment", "--x", "00010", "--y", "01110"])
@@ -384,6 +385,9 @@ def test_workers_below_one_are_rejected(capsys, command):
     assert status == EXIT_USAGE and out == "" and "workers" in err
 
 
+FIELDS_11 = " n=11 k1=8 k2=10 k3=2434 k4=8"
+
+
 def test_decode_batch_continues_past_a_bad_length(capsys):
     args = ("decode", "--n", "11", "--params", "8,10,2434,8", "--machine")
     status, out, _ = run_cli(capsys, *args, "0111011010", "0101", "0111011010")
@@ -393,6 +397,70 @@ def test_decode_batch_continues_past_a_bad_length(capsys):
         "record=decode-failure received=0101 kind=length n=11 k1=8 k2=10 k3=2434 k4=8",
         "record=decode received=0111011010 word=01011011010",
     ]
+
+
+# per command: the argv of a batch, its failure record, the field naming the
+# word, the code's fields, and a word that succeeds
+SYMBOL_BATCHES = [
+    pytest.param(("syndrome",), "syndrome-failure", "word", "", "0000001", id="syndrome"),
+    pytest.param(
+        ("check", "--n", "11", "--params", "8,10,2434,8"),
+        "check-failure", "word", FIELDS_11, "01011011010", id="check",
+    ),
+    pytest.param(
+        ("decode", "--n", "11", "--params", "8,10,2434,8"),
+        "decode-failure", "received", FIELDS_11, "0111011010", id="decode",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, failure, key, fields, good", SYMBOL_BATCHES)
+@pytest.mark.parametrize("source", ("stdin", "input"))
+def test_a_bad_symbol_on_a_line_gives_one_record(
+    capsys, monkeypatch, tmp_path, argv, failure, key, fields, good, source
+):
+    import io
+
+    text = f"{good}\n\n01x1\n{good}\n"  # the bad word is on line 3
+    path = tmp_path / "words.txt"
+    path.write_text(text)
+    extra = ("--input", str(path)) if source == "input" else ()
+    for machine in (True, False):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        status, out, err = run_cli(capsys, *argv, *extra, *(["--machine"] * machine))
+        lines = out.splitlines()
+        assert (status, err, len(lines), lines[0]) == (EXIT_VIOLATION, "", 3, lines[2])
+        if machine:
+            assert lines[1] == f"record={failure} {key}=01x1 kind=symbol{fields}"
+            assert record_types(out) == {failure, failure.removesuffix("-failure")}
+        else:
+            assert lines[1] == "01x1: invalid symbol 'x' in word '01x1' on line 3"
+
+
+def test_a_malformed_word_keeps_its_record_on_one_line(capsys):
+    from urllib.parse import unquote
+
+    bad = "0\t1\n1\x0c 1\u20281%"
+    status, out, _ = run_cli(capsys, "syndrome", "0000001", bad, "--machine")
+    lines = out.splitlines()
+    assert status == EXIT_VIOLATION and len(lines) == 2 and out.count("\n") == 2
+    assert record_types(out) == {"syndrome", "syndrome-failure"}
+    assert lines[1] == "record=syndrome-failure word=0%091%0A1%0C%201%E2%80%A81%25 kind=symbol"
+    assert unquote(lines[1].split()[1].partition("=")[2]) == bad
+
+
+def test_census_reads_the_largest_class_off_its_top_list(capsys, monkeypatch):
+    # at n = 13 the fifth class is smaller than the first
+    _, whole, _ = run_cli(capsys, "census", "--n", "13", "--top", "0", "--machine")
+
+    def second_pass(self):
+        raise AssertionError("largest() after top()")
+
+    monkeypatch.setattr(code.Census, "largest", second_pass)
+    for top in ("1", "5"):
+        status, out, _ = run_cli(capsys, "census", "--n", "13", "--top", top, "--machine")
+        assert status == EXIT_OK and out.splitlines()[-1] == whole.strip()
+    assert "max_count=3 " in whole and out.splitlines()[-2].endswith(" count=2")
 
 
 def test_negative_enumeration_cap_is_a_usage_error(capsys):

@@ -1,7 +1,9 @@
 import math
 import multiprocessing
 import os
+from array import array
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 
@@ -28,7 +30,7 @@ from twoedit.code import (
     redundancy_bound,
     scan_pairwise_distance,
 )
-from twoedit.syndrome import SyndromeTuple, syndrome_tuple
+from twoedit.syndrome import SyndromeTuple, moduli, syndrome_tuple
 from twoedit.words import Word
 
 ZERO7 = CodeParams.from_values(7, 0, 0, 0, 0)
@@ -105,6 +107,62 @@ def test_groups_match_the_word_by_word_sweep(n, mode):
     reference = oracles.syndrome_groups(n, exact=mode == MODE_EXACT)
     assert groups == len(reference)
     assert shared == sorted((key, values) for key, values in reference.items() if len(values) > 1)
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+@pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
+def test_packed_rows_match_the_per_word_keys(n, mode):
+    radices = code._radices(n, mode)
+    heads = zip_longest(code._split_keys(n, radices), oracles.split_keys(n, radices))
+    for got, want in heads:
+        assert got == want, want[0]
+
+
+def test_the_exhaustive_range_reaches_a_sum_equal_to_its_modulus():
+    # The packed rows subtract q_k where l >= q_k - a; unless some word has
+    # a + l == q_k exactly, a '>' there would pass the test above.
+    reached = set()
+    for n in range(7, 17):
+        heads, tails = oracles.split_terms(n)
+        for k, r in enumerate(moduli(n)[:3]):
+            for last in (0, 1):
+                tail_sums = {sums[k] % r for _, sums in tails[last]}
+                head_sums = {sums[k] % r for c, sums in heads if c & 1 == last}
+                if any(a and r - a in tail_sums for a in head_sums):
+                    reached.add(k)
+    assert reached == {0, 1, 2}
+
+
+@pytest.mark.parametrize("typecode", "IQ")
+def test_packed_rows_are_exact_at_the_widest_radices_a_field_type_admits(typecode):
+    # small radices reduce s0..s2 on most words; r3 is as large as the guard allows
+    bits = 8 * array(typecode).itemsize
+    r0, r1, r2 = 5, 7, 11
+    r3 = (1 << bits - 1) // (r2 * (r0 * r1 + r1 + 1))
+    radices = (r0, r1, r2, r3)
+    assert code._field_type(radices) == typecode
+    assert list(code._split_keys(9, radices)) == list(oracles.split_keys(9, radices))
+    if typecode == "I":
+        assert code._field_type((r0, r1, r2, r3 + 1)) == "Q"
+    else:
+        with pytest.raises(ValueError, match=f"do not fit {bits}-bit fields"):
+            code._field_type((r0, r1, r2, r3 + 1))
+
+
+@pytest.mark.skipif(
+    (array("I").itemsize, array("Q").itemsize) != (4, 8), reason="lengths for 32/64-bit fields"
+)
+@pytest.mark.parametrize("mode, narrow, longest", ((MODE_BUCKET, 15, 632), (MODE_EXACT, 6, 76)))
+def test_the_field_guard_raises_past_the_longest_length_that_fits(mode, narrow, longest):
+    # 32-bit fields up to ``narrow``, 64-bit ones up to ``longest``; exact
+    # keys reach (n + 2)^10, which needs more than 63 bits from n = 77
+    for n in range(7, longest + 1):
+        assert code._field_type(code._radices(n, mode)) == ("I" if n <= narrow else "Q"), n
+    with pytest.raises(ValueError, match="do not fit 64-bit fields"):
+        code._field_type(code._radices(longest + 1, mode))
+    # the sweep checks before it builds anything
+    with pytest.raises(ValueError, match="do not fit"):
+        next(code._split_keys(longest + 1, code._radices(longest + 1, mode)))
 
 
 @pytest.mark.parametrize("n", range(7, 13))

@@ -238,6 +238,16 @@ def test_packed_fields_cannot_overflow_below_the_stated_length():
     assert largest(limit) < 1 << syndrome._FIELD_BITS <= largest(limit + 1)
 
 
+def test_rows_are_kept_only_up_to_a_fixed_length():
+    kept = syndrome._KEPT_ROWS
+    rng = random.Random(kept)
+    for length in (8 * kept - 1, 8 * kept, 8 * kept + 1, 8 * kept + 9, 16 * kept):
+        for mask in (rng.getrandbits(length), (1 << length) - 1, 1):
+            assert transition_sums(mask, length) == transition_sums_loop(mask, length), length
+        assert len(syndrome._rows) <= kept
+    assert len(syndrome._rows) == kept
+
+
 def test_rows_are_built_on_demand_up_to_the_longest_mask():
     # a fresh interpreter: importing the CLI builds no rows, and a shorter
     # word after a longer one builds none

@@ -12,7 +12,6 @@ from twoedit.words import (
     adjacency_profile,
     pad,
     parse_word,
-    read_words,
 )
 
 random_words = st.integers(min_value=1, max_value=14).flatmap(
@@ -131,8 +130,8 @@ def test_word_line_serialization():
     ws = [Word("0101"), Word("1"), Word("000")]
     text = write_words(ws)
     assert text == "0101\n1\n000\n"
-    assert read_words(text.splitlines()) == ws
+    assert [parse_word(line) for line in text.splitlines()] == ws
     assert parse_word("  0101\n") == Word("0101")
     with pytest.raises(ValueError) as err:
-        read_words(["0101", "01a1"])
+        parse_word("01a1\n", 2)
     assert "line 2" in str(err.value)
