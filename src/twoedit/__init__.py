@@ -29,7 +29,6 @@ _EXPORTS = {
     "apply_errors": "channel",
     "edit_distance": "channel",
     "parse_pattern": "channel",
-    "CodeParams": "code",
     "bucket_census": "code",
     "best_params": "code",
     "decode_index": "code",

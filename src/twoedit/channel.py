@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from .words import Word
 
+MAX_EDITS = 2  # the channel's budget: two edits in total
+
 
 @dataclass(frozen=True)
 class ErrorPattern:
@@ -169,15 +171,16 @@ def edit_distance(x: Word, y: Word) -> int:
     return k + vp.bit_count() - vn.bit_count()
 
 
-def random_pattern(rng: random.Random, n: int, max_edits: int = 2,
-                   counts: tuple[int, int, int] | None = None) -> ErrorPattern:
-    """Draw a pattern with t+s+r <= max_edits (or the exact given counts)."""
+def random_pattern(
+    rng: random.Random, n: int, counts: tuple[int, int, int] | None = None
+) -> ErrorPattern:
+    """Draw a pattern with t+s+r <= MAX_EDITS (or the exact given counts)."""
     if counts is None:
         triples = [
             (t, s, r)
-            for t in range(max_edits + 1)
-            for s in range(max_edits + 1 - t)
-            for r in range(max_edits + 1 - t - s)
+            for t in range(MAX_EDITS + 1)
+            for s in range(MAX_EDITS + 1 - t)
+            for r in range(MAX_EDITS + 1 - t - s)
             if s + r <= n
         ]
         t, s, r = triples[rng.randrange(len(triples))]

@@ -18,7 +18,13 @@ import sys
 from typing import Iterator
 
 from . import channel, code
-from .syndrome import MIN_CODE_LENGTH, SyndromeTuple, sign_preserving_number, syndrome_tuple
+from .syndrome import (
+    MIN_CODE_LENGTH,
+    SyndromeTuple,
+    reduce_sums,
+    sign_preserving_number,
+    syndrome_tuple,
+)
 from .words import Word, adjacency_profile, pad, parse_word
 
 EXIT_OK = 0
@@ -76,11 +82,14 @@ def _ints(text: str, flag: str, count: int | None = None) -> tuple[int, ...]:
     raise ValueError(f"{flag} needs {_HOW_MANY[count]}, got {text!r}")
 
 
-def _params(args: argparse.Namespace) -> code.CodeParams:
+def _params(args: argparse.Namespace) -> SyndromeTuple:
+    """The code ``--n`` and ``--params`` choose, each residue reduced."""
     parts = _ints(args.params, "--params")
     if len(parts) != 4:
         raise ValueError("--params needs four comma-separated residues")
-    return code.CodeParams.from_values(args.n, *parts)
+    if args.n < MIN_CODE_LENGTH:  # before the reduction, whose moduli vanish at n = 0
+        raise ValueError(f"length must be at least {MIN_CODE_LENGTH}, got {args.n}")
+    return SyndromeTuple(args.n, *reduce_sums(parts, args.n))
 
 
 def _texts(args: argparse.Namespace) -> list[tuple[str, int | None]]:
@@ -89,7 +98,7 @@ def _texts(args: argparse.Namespace) -> list[tuple[str, int | None]]:
     if args.words:
         return [(w, None) for w in args.words]
     if args.input:
-        with open(args.input, encoding="ascii") as handle:
+        with open(args.input, encoding="utf-8") as handle:
             lines = handle.readlines()
     else:
         lines = sys.stdin.readlines()
@@ -140,7 +149,7 @@ def _cmd_syndrome(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     p = _params(args)
-    fields = {"n": p.n, **_residues(p.residues, K_KEYS)}
+    fields = {"n": p.n, **_residues(p, K_KEYS)}
     label = ",".join(str(v) for v in fields.values())
     batch = _Batch(args, "check-failure", "word", fields)
     for w in batch:
@@ -158,7 +167,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     members = code.enumerate_codewords(p, args.enum_cap)
     for i, w in enumerate(members):
         _emit(args, "codeword", str(w), index=i, word=w)
-    _emit(args, "enumerate", None, size=len(members), n=p.n, **_residues(p.residues, K_KEYS))
+    _emit(args, "enumerate", None, size=len(members), n=p.n, **_residues(p, K_KEYS))
     return EXIT_OK
 
 
@@ -172,7 +181,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         _emit(args, "bucket", human, n=args.n, rank=rank, **_residues(st, S_KEYS), count=count)
     # the same tie-break: the first of the top list is the largest class
     best, best_count = top[0] if top else census.largest()
-    r = code.redundancy(code.CodeParams(best), size=best_count)
+    r = code.redundancy(best, size=best_count)
     bound = f"{code.redundancy_bound(args.n):.6f}"
     _emit(
         args,
@@ -193,8 +202,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_best_params(args: argparse.Namespace) -> int:
     p, count = code.best_params(args.n, args.enum_cap)
     r = f"{code.redundancy(p, size=count):.6f}"
-    human = f"best class at n={args.n}: {p.residues.to_kv()} count={count} redundancy={r}"
-    _emit(args, "params", human, n=p.n, **_residues(p.residues, K_KEYS), count=count, redundancy=r)
+    human = f"best class at n={args.n}: {p.to_kv()} count={count} redundancy={r}"
+    _emit(args, "params", human, n=p.n, **_residues(p, K_KEYS), count=count, redundancy=r)
     return EXIT_OK
 
 
@@ -218,7 +227,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     from . import decoder  # imported here, so that other commands never load it
 
     p = _params(args)
-    batch = _Batch(args, "decode-failure", "received", {"n": p.n, **_residues(p.residues, K_KEYS)})
+    batch = _Batch(args, "decode-failure", "received", {"n": p.n, **_residues(p, K_KEYS)})
     for w in batch:
         try:
             decoded = decoder.decode(w, p)
@@ -235,11 +244,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
+    # parsed once for the whole batch, so a malformed one fails an empty batch too
+    fixed = None if args.random else channel.parse_pattern(args.pattern or "")
     for w in _words(args):
-        if args.random:
-            pattern = channel.random_pattern(rng, len(w))
-        else:
-            pattern = channel.parse_pattern(args.pattern or "")
+        pattern = channel.random_pattern(rng, len(w)) if fixed is None else fixed
         result = channel.apply_errors(w, pattern)
         spec = channel.format_pattern(pattern) or "-"
         _emit(args, "corrupt", str(result), word=w, pattern=spec, result=result)
@@ -281,6 +289,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
     if args.vector is not None:
+        if args.x is not None or args.y is not None:
+            raise ValueError("analyze sigma takes --vector or --x/--y, not both")
         vector = _ints(args.vector, "--vector")
         value = sign_preserving_number(vector)
         _emit(args, "sigma", str(value), vector=",".join(map(str, vector)), value=value)

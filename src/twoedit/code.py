@@ -56,12 +56,12 @@ from typing import Iterator
 
 from .channel import edit_distance
 from .syndrome import (
-    COUNT_MODULUS,
     MIN_CODE_LENGTH,
     SyndromeTuple,
     moduli,
     padded_weight_sums,
     power_sums,
+    reduce_sums,
     transition_sums,
 )
 from .words import Word
@@ -84,52 +84,27 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise ValueError(f"length must be at least {MIN_CODE_LENGTH}, got {n}")
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """A code length together with the four residues selecting one code."""
-
-    residues: SyndromeTuple
-
-    @property
-    def n(self) -> int:
-        return self.residues.n
-
-    @classmethod
-    def from_values(cls, n: int, k1: int, k2: int, k3: int, k4: int) -> "CodeParams":
-        m0, m1, m2, m3 = moduli(n)
-        return cls(SyndromeTuple(n, k1 % m0, k2 % m1, k3 % m2, k4 % m3))
+def member_value(v: int, p: SyndromeTuple) -> bool:
+    """Whether the length-n word with packed value ``v`` lies in the code
+    ``p``: whether its reduced sums equal the code's residues."""
+    return reduce_sums(padded_weight_sums(v, p.n), p.n) == (p.s0, p.s1, p.s2, p.s3)
 
 
-def member_value(v: int, p: CodeParams) -> bool:
-    """Whether the length-n word with packed value ``v`` lies in the code.
-
-    The padded adjacency count is a popcount: ``v ^ (v << 1)`` has one bit
-    per unequal neighbour pair of ``0 v 0``.  Words failing its residue skip
-    the weighted sums.
-    """
-    r = p.residues
-    if (v ^ (v << 1)).bit_count() % COUNT_MODULUS != r.s3:
-        return False
-    s0, s1, s2, _ = padded_weight_sums(v, r.n)
-    m0, m1, m2, _ = moduli(r.n)
-    return s0 % m0 == r.s0 and s1 % m1 == r.s1 and s2 % m2 == r.s2
-
-
-def is_codeword(x: Word, p: CodeParams) -> bool:
+def is_codeword(x: Word, p: SyndromeTuple) -> bool:
     if len(x) != p.n:
         raise ValueError(f"word length {len(x)} does not match code length {p.n}")
     return member_value(x.value, p)
 
 
-def _codeword_values(p: CodeParams, cap: int | None) -> tuple[int, ...]:
+def _codeword_values(p: SyndromeTuple, cap: int | None) -> tuple[int, ...]:
     # The cap is checked on every call, cache hit or not.
     _check_cap(p.n, cap)
     return _member_values(p)
 
 
 @lru_cache(maxsize=8)
-def _member_values(p: CodeParams) -> tuple[int, ...]:
-    target = p.residues.pack()
+def _member_values(p: SyndromeTuple) -> tuple[int, ...]:
+    target = p.pack()
     return tuple(
         v
         for base, keys in _split_keys(p.n, moduli(p.n))
@@ -139,7 +114,7 @@ def _member_values(p: CodeParams) -> tuple[int, ...]:
     )
 
 
-def enumerate_codewords(p: CodeParams, cap: int | None = None) -> list[Word]:
+def enumerate_codewords(p: SyndromeTuple, cap: int | None = None) -> list[Word]:
     """All codewords in lexicographic order."""
     return [Word.from_int(v, p.n) for v in _codeword_values(p, cap)]
 
@@ -279,13 +254,12 @@ def bucket_census(n: int, cap: int | None = None) -> Census:
     return Census(n, dict(counts))
 
 
-def best_params(n: int, cap: int | None = None) -> tuple[CodeParams, int]:
-    """Parameters of the largest syndrome class and its size."""
-    residues, count = bucket_census(n, cap).largest()
-    return CodeParams(residues), count
+def best_params(n: int, cap: int | None = None) -> tuple[SyndromeTuple, int]:
+    """The residues of the largest syndrome class and its size."""
+    return bucket_census(n, cap).largest()
 
 
-def redundancy(p: CodeParams, size: int | None = None, cap: int | None = None) -> float:
+def redundancy(p: SyndromeTuple, size: int | None = None, cap: int | None = None) -> float:
     """n minus the base-2 logarithm of the code size."""
     if size is None:
         size = len(_codeword_values(p, cap))
@@ -304,7 +278,7 @@ def pigeonhole_floor(n: int) -> int:
     return -((1 << n) // -(144 * n**6))
 
 
-def encode_index(m: int, p: CodeParams, cap: int | None = None) -> Word:
+def encode_index(m: int, p: SyndromeTuple, cap: int | None = None) -> Word:
     """The m-th codeword in lexicographic order."""
     values = _codeword_values(p, cap)
     if not 0 <= m < len(values):
@@ -312,7 +286,7 @@ def encode_index(m: int, p: CodeParams, cap: int | None = None) -> Word:
     return Word.from_int(values[m], p.n)
 
 
-def decode_index(x: Word, p: CodeParams, cap: int | None = None) -> int:
+def decode_index(x: Word, p: SyndromeTuple, cap: int | None = None) -> int:
     """Lexicographic rank of a codeword; exact inverse of encode_index."""
     values = _codeword_values(p, cap)
     i = bisect_left(values, x.value)

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 from functools import cache
 
-from .code import CodeParams, is_codeword, member_value
-from .syndrome import COUNT_MODULUS, moduli, padded_weight_sums
+from .channel import MAX_EDITS
+from .code import is_codeword, member_value
+from .syndrome import COUNT_MODULUS, SyndromeTuple, moduli, padded_weight_sums
 from .words import Word
-
-MAX_EDITS = 2
 
 
 class DecodeError(ValueError):
@@ -178,7 +177,7 @@ def _positions(t: int, size: int, slope: int, offset: int, shift: int, target: i
     ]
 
 
-def candidate_preimages(received: Word, p: CodeParams) -> set[int]:
+def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
     """Packed values of the length-n words within two edits of ``received``
     that the placement by s3, s0 and s1 keeps (see the module docstring).
 
@@ -192,7 +191,6 @@ def candidate_preimages(received: Word, p: CodeParams) -> set[int]:
         raise ReceivedLengthError(
             f"received length {m} outside [{n - MAX_EDITS}, {n + MAX_EDITS}]"
         )
-    r = p.residues
     m0, m1_mod, _, _ = moduli(n)
     out: set[int] = set()
     for m1 in range(max(m, n) - 1, min(m, n) + 2):
@@ -201,10 +199,10 @@ def candidate_preimages(received: Word, p: CodeParams) -> set[int]:
         # a run of equal bits gives the same deletion, so dedupe before expanding
         for v1 in set(_single_edits(v, m, m1)):
             t = v1 ^ (v1 << 1)
-            families = by_count.get((r.s3 - t.bit_count()) % COUNT_MODULUS)
+            families = by_count.get((p.s3 - t.bit_count()) % COUNT_MODULUS)
             if families is None:
                 continue
-            d0 = r.s0 - _first_moment(t)
+            d0 = p.s0 - _first_moment(t)
             for build, mask, bits, _, sign, slope, offset, shift in families:
                 target = sign * d0 % m0
                 if shift is not None:
@@ -213,14 +211,14 @@ def candidate_preimages(received: Word, p: CodeParams) -> set[int]:
                     k, rest = divmod(target - offset, slope)
                     ks = () if rest else (k,)
                 elif target == offset:  # a flip keeping it: s1 moves by sign * (n + 1 - k)
-                    ks = (n + 1 - sign * (r.s1 - padded_weight_sums(v1, n)[1]) % m1_mod,)
+                    ks = (n + 1 - sign * (p.s1 - padded_weight_sums(v1, n)[1]) % m1_mod,)
                 else:
                     continue
                 out.update(build(v1, t, k) for k in ks if 0 <= k < size and t >> k & mask == bits)
     return out
 
 
-def decode(received: Word, p: CodeParams) -> Word:
+def decode(received: Word, p: SyndromeTuple) -> Word:
     """The unique codeword within two edits of ``received``."""
     if len(received) == p.n and is_codeword(received, p):
         return received

@@ -140,14 +140,20 @@ def padded_weight_sums(value: int, n: int) -> tuple[int, int, int, int]:
     return count * f0 - q0, count * f1 - q1, count * f2 - q2, count
 
 
+def reduce_sums(sums: Sequence[int], n: int) -> tuple[int, int, int, int]:
+    """The four sums (sum0, sum1, sum2, count) reduced by ``moduli(n)``:
+    a word's residues, or a code's from any four integers."""
+    m0, m1, m2, m3 = moduli(n)
+    s0, s1, s2, count = sums
+    return s0 % m0, s1 % m1, s2 % m2, count % m3
+
+
 def syndrome_tuple(x: Word) -> SyndromeTuple:
     """The four residues of ``x``.  Rejects lengths below 7."""
     n = len(x)
     if n < MIN_CODE_LENGTH:
         raise ValueError(f"syndromes are defined for length >= {MIN_CODE_LENGTH}, got {n}")
-    s0, s1, s2, count = padded_weight_sums(x.value, n)
-    m0, m1, m2, m3 = moduli(n)
-    return SyndromeTuple(n, s0 % m0, s1 % m1, s2 % m2, count % m3)
+    return SyndromeTuple(n, *reduce_sums(padded_weight_sums(x.value, n), n))
 
 
 def sign_preserving_number(z: Sequence[int]) -> int:

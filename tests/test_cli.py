@@ -124,6 +124,15 @@ def test_corrupt_pattern_and_seeded_random(capsys):
     assert first == second
 
 
+def test_corrupt_parses_its_pattern_before_the_batch(capsys, monkeypatch):
+    import io
+
+    expected = (EXIT_USAGE, "", "error: malformed pattern item 'garbage'\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert run_cli(capsys, "corrupt", "--pattern", "garbage") == expected
+    assert run_cli(capsys, "corrupt", "--pattern", "garbage", "0000001") == expected
+
+
 def test_verify_modes(capsys):
     for mode in ("bucket", "exact"):
         status, out, _ = run_cli(capsys, "verify", "--n", "7", "--mode", mode, "--machine")
@@ -199,6 +208,10 @@ def test_usage_errors(capsys):
     assert exc.value.code == EXIT_USAGE
     status, _, err = run_cli(capsys, "check", "--n", "7", "--params", "1,2,3", "0000000")
     assert status == EXIT_USAGE
+    # a length below 7 is refused before the residues are reduced: n = 0 has zero moduli
+    for n in ("0", "5"):
+        expected = (EXIT_USAGE, "", f"error: length must be at least 7, got {n}\n")
+        assert run_cli(capsys, "check", "--n", n, "--params", "0,0,0,0", "0000000") == expected
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_USAGE
@@ -437,6 +450,25 @@ def test_a_bad_symbol_on_a_line_gives_one_record(
             assert lines[1] == "01x1: invalid symbol 'x' in word '01x1' on line 3"
 
 
+@pytest.mark.parametrize("argv, failure, key, fields, good", SYMBOL_BATCHES)
+def test_a_non_ascii_symbol_gives_the_same_record_from_a_file_as_from_stdin(
+    capsys, monkeypatch, tmp_path, argv, failure, key, fields, good
+):
+    import io
+
+    data = b"0000001\n01\xd9\xa31\n0110100111\n"  # U+0663 in UTF-8 on line 2
+    path = tmp_path / "words.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    from_stdin = run_cli(capsys, *argv, "--machine")
+    from_file = run_cli(capsys, *argv, "--input", str(path), "--machine")
+    assert from_file == from_stdin
+    status, out, err = from_file
+    lines = out.splitlines()
+    assert (status, err, len(lines)) == (EXIT_VIOLATION, "", 3)
+    assert lines[1] == f"record={failure} {key}=01\u06631 kind=symbol{fields}"
+
+
 def test_a_malformed_word_keeps_its_record_on_one_line(capsys):
     from urllib.parse import unquote
 
@@ -554,6 +586,12 @@ def test_readme_examples_succeed(argv, capsys, monkeypatch):
     monkeypatch.setattr(SerialPool, "sizes", [])
     status, out, _ = run_cli(capsys, *argv)
     assert status == EXIT_OK and out
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
 
 
 def test_a_request_leaves_no_parser_behind(capsys):

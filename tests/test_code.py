@@ -12,7 +12,6 @@ from twoedit import code
 from twoedit.code import (
     Census,
     DEFAULT_ENUMERATION_CAP,
-    CodeParams,
     DistanceViolation,
     MODE_BUCKET,
     MODE_EXACT,
@@ -30,15 +29,15 @@ from twoedit.code import (
     redundancy_bound,
     scan_pairwise_distance,
 )
-from twoedit.syndrome import SyndromeTuple, moduli, syndrome_tuple
+from twoedit.syndrome import SyndromeTuple, moduli, reduce_sums, syndrome_tuple
 from twoedit.words import Word
 
-ZERO7 = CodeParams.from_values(7, 0, 0, 0, 0)
+ZERO7 = SyndromeTuple(7, 0, 0, 0, 0)
 
 
 def test_membership_examples():
     assert is_codeword(Word("0000000"), ZERO7)
-    assert is_codeword(Word("0000001"), CodeParams.from_values(7, 3, 26, 226, 2))
+    assert is_codeword(Word("0000001"), SyndromeTuple(7, 3, 26, 226, 2))
     assert not is_codeword(Word("0000001"), ZERO7)
     with pytest.raises(ValueError):
         is_codeword(Word("000000"), ZERO7)
@@ -62,16 +61,17 @@ def test_member_value_agrees_with_syndrome_tuple_exhaustively(n):
     largest = best_params(n)[0]
     for v in range(1 << n):
         own = syndrome_tuple(Word.from_int(v, n))
-        assert member_value(v, CodeParams(own))
-        # a differing s3 fails on the adjacency count, a differing s0..s2 on the sums
-        assert not member_value(v, CodeParams(_other_residues(own, 3)))
-        assert not member_value(v, CodeParams(_other_residues(own, v % 3)))
-        assert member_value(v, largest) == (own == largest.residues)
+        assert member_value(v, own)
+        # a word whose residues differ from the code's in any one place is out
+        assert not member_value(v, _other_residues(own, 3))
+        assert not member_value(v, _other_residues(own, v % 3))
+        assert member_value(v, largest) == (own == largest)
 
 
 def test_params_canonicalize():
-    p = CodeParams.from_values(7, 28 + 3, -1, 226, 11)
-    assert p.residues == SyndromeTuple(7, 3, 97, 226, 2)
+    # the one reduction of --params and of a word's sums
+    assert reduce_sums((28 + 3, -1, 226, 11), 7) == (3, 97, 226, 2)
+    assert reduce_sums((0, 2 * 49, 2 * 343 + 5, 9 * 3 + 1), 7) == (0, 0, 5, 1)
 
 
 def test_enumeration_contains_generators_and_is_sorted():
@@ -80,7 +80,7 @@ def test_enumeration_contains_generators_and_is_sorted():
     values = [w.value for w in members]
     assert values == sorted(set(values))
     for w in members:
-        assert syndrome_tuple(w) == ZERO7.residues
+        assert syndrome_tuple(w) == ZERO7
 
 
 def test_syndrome_classes_partition_the_space():
@@ -174,8 +174,7 @@ def test_member_values_match_member_value(n):
         s3_words[SyndromeTuple.unpack(key, n).s3] += count
     common = s3_words.most_common(1)[0][0]
     other = next(st for st, _ in census.top(census.class_count()) if st.s3 != common)
-    for residues in (largest, other):
-        p = CodeParams(residues)
+    for p in (largest, other):
         assert code._member_values(p) == tuple(v for v in range(1 << n) if member_value(v, p))
 
 
@@ -245,7 +244,7 @@ def test_index_coding_roundtrip(n):
 
 def test_enumeration_cap():
     with pytest.raises(ResourceCapError):
-        enumerate_codewords(CodeParams.from_values(30, 0, 0, 0, 0))
+        enumerate_codewords(SyndromeTuple(30, 0, 0, 0, 0))
     with pytest.raises(ResourceCapError, match=f"cap {DEFAULT_ENUMERATION_CAP}$"):
         bucket_census(DEFAULT_ENUMERATION_CAP + 1)
     with pytest.raises(ValueError):
@@ -261,14 +260,14 @@ def test_negative_enumeration_cap_is_rejected():
     with pytest.raises(ValueError, match="enumeration cap must be at least 0, got -1"):
         bucket_census(9, -1)
     with pytest.raises(ValueError, match="got -3"):
-        enumerate_codewords(CodeParams.from_values(9, 0, 0, 0, 0), -3)
+        enumerate_codewords(SyndromeTuple(9, 0, 0, 0, 0), -3)
     # a cap of 0 is valid and admits no length
     with pytest.raises(ResourceCapError):
         bucket_census(9, 0)
 
 
 def test_enumeration_cap_holds_on_a_cache_hit():
-    params = CodeParams.from_values(12, 0, 0, 0, 0)
+    params = SyndromeTuple(12, 0, 0, 0, 0)
     enumerate_codewords(params)  # warm the cache
     with pytest.raises(ResourceCapError):
         enumerate_codewords(params, cap=8)

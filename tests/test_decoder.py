@@ -14,7 +14,7 @@ from oracles import (
     second_edit_sums,
 )
 from twoedit.channel import apply_errors, edit_distance, random_pattern
-from twoedit.code import CodeParams, best_params, enumerate_codewords, member_value
+from twoedit.code import best_params, enumerate_codewords, member_value
 from twoedit.decoder import (
     _COMPLEMENTS,
     _COPIES,
@@ -43,7 +43,7 @@ def union_ball(x):
 
 def test_zero_edit_preimage():
     w = Word("0100110")
-    assert w.value in candidate_preimages(w, CodeParams(syndrome_tuple(w)))
+    assert w.value in candidate_preimages(w, syndrome_tuple(w))
 
 
 def test_single_deletion_preimages_example():
@@ -70,7 +70,7 @@ def test_forward_backward_consistency_randomized():
         x = Word.from_int(rng.getrandbits(9), 9)
         pattern = random_pattern(rng, 9)
         received = apply_errors(x, pattern)
-        assert x.value in candidate_preimages(received, CodeParams(syndrome_tuple(x)))
+        assert x.value in candidate_preimages(received, syndrome_tuple(x))
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
@@ -96,7 +96,7 @@ def test_preimages_match_ball_oracle_randomized(n, count):
 def test_sent_word_is_a_preimage_past_the_cap(n, rng):
     x = Word.from_int(rng.getrandbits(n), n)
     received = apply_errors(x, random_pattern(rng, n))
-    assert x.value in candidate_preimages(received, CodeParams(syndrome_tuple(x)))
+    assert x.value in candidate_preimages(received, syndrome_tuple(x))
 
 
 @pytest.mark.parametrize("n", (16, 32, 64))
@@ -106,7 +106,7 @@ def test_decode_round_trip_past_the_cap(n):
     for _ in range(20):
         x = Word.from_int(rng.getrandbits(n), n)
         received = apply_errors(x, random_pattern(rng, n))
-        assert decode(received, CodeParams(syndrome_tuple(x))) == x
+        assert decode(received, syndrome_tuple(x)) == x
 
 
 EDIT_KINDS = [(t, s, r) for t in range(3) for s in range(3 - t) for r in range(3 - t - s)][1:]
@@ -122,9 +122,8 @@ def test_decode_round_trip_every_edit_kind_long(n, sample):
     m = moduli(n)
     for counts in EDIT_KINDS:
         x = Word.from_int(rng.getrandbits(n), n)
-        params = CodeParams(syndrome_tuple(x))
-        r = params.residues
-        target = (r.s0, r.s1, r.s2, r.s3)
+        params = syndrome_tuple(x)
+        target = (params.s0, params.s1, params.s2, params.s3)
         received = apply_errors(x, random_pattern(rng, n, counts=counts))
         candidates = sorted(candidate_preimages(received, params))
         assert [v for v in candidates if member_value(v, params)] == [x.value], counts
@@ -141,7 +140,7 @@ def test_decode_round_trip_every_edit_kind_long(n, sample):
 
 
 def test_preimage_length_window():
-    params = CodeParams.from_values(9, 0, 0, 0, 0)
+    params = SyndromeTuple(9, 0, 0, 0, 0)
     with pytest.raises(ReceivedLengthError):
         candidate_preimages(Word("0101"), params)
     with pytest.raises(ReceivedLengthError):
@@ -180,7 +179,7 @@ def test_decode_round_trip_all_patterns_small():
 
 
 def test_decode_no_candidate():
-    params = CodeParams.from_values(9, 0, 0, 0, 0)
+    params = SyndromeTuple(9, 0, 0, 0, 0)
     with pytest.raises(NoCandidateError):
         decode(Word("111111111"), params)
 
@@ -316,7 +315,7 @@ def test_placement_matches_the_path_oracle_exhaustively(n, s0_sample):
                 for s0 in s0s:
                     s1 = _s1_to_place(rng, paths, s3, s0, n)
                     r = SyndromeTuple(n, s0, s1, rng.randrange(m2), s3)
-                    got = candidate_preimages(received, CodeParams(r))
+                    got = candidate_preimages(received, r)
                     assert got == placed_preimages(paths, r), (received, r)
 
 
@@ -329,18 +328,17 @@ def test_placement_lies_between_the_code_and_the_count_and_s0_ball(n, count):
     m0, _, _, _ = moduli(n)
     for i in range(count):
         x = Word.from_int(rng.getrandbits(n), n)
-        params = CodeParams(syndrome_tuple(x))
-        r = params.residues
+        r = syndrome_tuple(x)
         if i % 2:
             received = apply_errors(x, random_pattern(rng, n))
         else:
             m = rng.randint(n - 2, n + 2)
             received = Word.from_int(rng.getrandbits(m), m)
         ball = preimage_values_ball(received, n)
-        got = candidate_preimages(received, params)
+        got = candidate_preimages(received, r)
         paths = second_edit_sums(received, n)
         assert got == placed_preimages(paths, r)
-        assert {v for v in ball if member_value(v, params)} <= got
+        assert {v for v in ball if member_value(v, r)} <= got
         assert all(
             (c ^ (c << 1)).bit_count() % 9 == r.s3 and padded_weight_sums_loop(c, n)[0] % m0 == r.s0
             for c in got
@@ -359,7 +357,7 @@ def _outcome(fn):
         }[type(exc)], None
 
 
-def _decode_by_ball(received: Word, params: CodeParams) -> Word:
+def _decode_by_ball(received: Word, params: SyndromeTuple) -> Word:
     """``decode`` with the whole two-edit ball as its candidates."""
     n = params.n
     if len(received) == n and member_value(received.value, params):
@@ -381,7 +379,7 @@ def test_decode_outcomes_match_the_ball_oracle(n, count):
     seen = set()
     for i in range(count):
         x = Word.from_int(rng.getrandbits(n), n)
-        params = CodeParams(syndrome_tuple(x))
+        params = syndrome_tuple(x)
         sort = i % 4
         if sort == 0:
             received = apply_errors(x, random_pattern(rng, n))
@@ -408,4 +406,4 @@ def test_decode_round_trip_at_1024():
             continue
         x = Word.from_int(rng.getrandbits(1024), 1024)
         received = apply_errors(x, random_pattern(rng, 1024, counts=counts))
-        assert decode(received, CodeParams(syndrome_tuple(x))) == x, counts
+        assert decode(received, syndrome_tuple(x)) == x, counts
