@@ -56,6 +56,7 @@ from typing import Iterator
 
 from .channel import edit_distance
 from .syndrome import (
+    COUNT_MODULUS,
     MIN_CODE_LENGTH,
     SyndromeTuple,
     moduli,
@@ -93,6 +94,10 @@ def member_value(v: int, p: SyndromeTuple) -> bool:
 def is_codeword(x: Word, p: SyndromeTuple) -> bool:
     if len(x) != p.n:
         raise ValueError(f"word length {len(x)} does not match code length {p.n}")
+    # About 8 in 9 arbitrary words fail the adjacency count, a popcount of
+    # the transition mask; they skip the weighted sums.
+    if (x.value ^ (x.value << 1)).bit_count() % COUNT_MODULUS != p.s3:
+        return False
     return member_value(x.value, p)
 
 

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import random
 from array import array
 from collections import Counter
 from itertools import zip_longest
@@ -66,6 +67,19 @@ def test_member_value_agrees_with_syndrome_tuple_exhaustively(n):
         assert not member_value(v, _other_residues(own, 3))
         assert not member_value(v, _other_residues(own, v % 3))
         assert member_value(v, largest) == (own == largest)
+
+
+@pytest.mark.parametrize("n", [9, 2049, 4100])
+def test_is_codeword_agrees_with_member_value_on_every_count_residue(n):
+    # is_codeword rejects on the adjacency count before the weighted sums;
+    # a code for each count residue makes both of its paths run
+    rng = random.Random(n)
+    words = [Word.from_int(rng.getrandbits(n), n) for _ in range(1 << 9 if n < 64 else 12)]
+    own = syndrome_tuple(words[0])
+    for s3 in range(moduli(n)[3]):
+        p = SyndromeTuple(n, own.s0, own.s1, own.s2, s3)
+        for w in words:
+            assert is_codeword(w, p) == member_value(w.value, p) == (syndrome_tuple(w) == p)
 
 
 def test_params_canonicalize():
