@@ -9,7 +9,9 @@ application order is substitute, delete, insert.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 from .words import Word
 
@@ -137,38 +139,92 @@ def apply_errors(x: Word, p: ErrorPattern) -> Word:
     return Word.from_int(v, n + len(p.insertions) - len(p.deletions))
 
 
+def _columns(eq0: int, text: int, k: int, low: int, ones: int) -> tuple[int, int]:
+    """Myers' bit-parallel edit distance in Hyyrö's formulation, on every
+    field of a packed integer at once.
+
+    Each field holds one pair: its low m bits are the pattern's DP column,
+    held as its vertical +1 and -1 deltas ``vp`` and ``vn``, ``low`` is
+    2^m - 1 and ``ones`` has bit 0 of every field set.  ``eq0`` holds, per
+    field, the pattern bits that equal 0; bit j of a field of ``text`` is
+    the text symbol that advances the column at step j, for k steps.  Each
+    field also has a spare bit above the column: it takes the addition's
+    carry and the left shifts, so no field spills into the next, and the
+    top field's ``~`` bits never reach a column.  Returns ``(vp, vn)``.
+    """
+    mask = low * ones
+    vp, vn = mask, 0
+    for _ in range(k):
+        # eq0 flipped in every field whose text symbol is 1: the pattern's 1s
+        xv = (eq0 ^ (text & ones) * low) | vn
+        text >>= 1
+        d0 = (((xv & vp) + vp) ^ vp) | xv
+        hp = vn | ~(d0 | vp)
+        # The top row's horizontal delta is +1: it also overwrites bit 0,
+        # which the shift filled from the field below.  vn stays in the
+        # column: a carry into the spare bit needs vp's top bit, which
+        # clears the top bit of hp.
+        xh = (hp << 1) | ones
+        vn = xh & d0
+        vp = (((vp & d0) << 1) | ~(xh | d0)) & mask
+    return vp, vn
+
+
 def edit_distance(x: Word, y: Word) -> int:
     """Unit-cost edit distance (insertions, deletions, substitutions).
 
-    Myers' bit-parallel algorithm in Hyyrö's formulation: the longer word is
-    the pattern, one bit per row of a DP column, held as its vertical +1 and
-    -1 deltas, and each symbol of the shorter word advances the whole column
-    by a few word operations.  Bit i of a packed value is the i-th symbol
+    The one-field case of ``_columns``, the loop that ``edit_distances``
+    runs over many pairs at once: here the field is unbounded, so any
+    lengths work.  The longer word is the pattern and each symbol of the
+    shorter advances its column.  Bit i of a packed value is the i-th symbol
     from the end, so both words are read reversed, which leaves the distance
-    unchanged.
+    unchanged.  The top cell of the last column is k; its deltas lead to the
+    bottom one.
     """
     m, k = len(x), len(y)
     if m < k:
         x, y, m, k = y, x, k, m
-    mask = (1 << m) - 1
-    eq1 = x.value
-    eq0 = eq1 ^ mask
-    vp, vn = mask, 0
-    t = y.value
-    for _ in range(k):
-        xv = (eq1 if t & 1 else eq0) | vn
-        t >>= 1
-        d0 = (((xv & vp) + vp) ^ vp) | xv
-        hp = vn | ~(d0 | vp)
-        # The top row's horizontal delta is +1.  Carries and left shifts only
-        # move up, so bits at m and above never reach the column; masking vp
-        # keeps the ints small.  vn stays below bit m: a carry into bit m
-        # needs vp's top bit, which clears the top bit of hp.
-        xh = (hp << 1) | 1
-        vn = xh & d0
-        vp = (((vp & d0) << 1) | ~(xh | d0)) & mask
-    # The top cell of the last column is k; its deltas lead to the bottom one.
+    low = (1 << m) - 1
+    vp, vn = _columns(x.value ^ low, y.value, k, low, 1)
     return k + vp.bit_count() - vn.bit_count()
+
+
+def edit_distances(xs: Sequence[int], ys: Sequence[int], m: int, k: int) -> list[int]:
+    """The edit distance of every pair ``(xs[i], ys[i])`` of packed values,
+    the xs of length m and the ys of length k, in one pass of ``_columns``.
+
+    Each pair gets one field of the narrowest ``array`` type that holds
+    m + 1 bits (the pattern and the spare bit), so each step advances every
+    pair's column by some twenty big-integer operations, and ``array`` unpacks
+    the two delta rows.  Raises ValueError, before packing anything, if no
+    type holds max(m, k) + 1 bits, if the lists differ in length, or if a
+    value has more bits than its length.
+    """
+    from array import array  # here, so that importing the CLI does not load it
+
+    if m < k:
+        xs, ys, m, k = ys, xs, k, m
+    for typecode in "BHIQ":
+        width = 8 * array(typecode).itemsize
+        if m < width:
+            break
+    else:
+        raise ValueError(f"words of length {m} need {m + 1}-bit fields, above {width} bits")
+    low = (1 << m) - 1
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} patterns but {len(ys)} texts")
+    if max(xs, default=0) >> m or max(ys, default=0) >> k:
+        raise ValueError(f"a value does not fit its length ({m} or {k} bits)")
+    ones = ((1 << width * len(xs)) - 1) // ((1 << width) - 1)
+
+    def packed(values) -> int:
+        return int.from_bytes(array(typecode, values).tobytes(), sys.byteorder)
+
+    def fields(v: int) -> array:
+        return array(typecode, v.to_bytes(width // 8 * len(xs), sys.byteorder))
+
+    vp, vn = _columns(packed(xs) ^ low * ones, packed(ys), k, low, ones)
+    return [k + p.bit_count() - q.bit_count() for p, q in zip(fields(vp), fields(vn))]
 
 
 def random_pattern(

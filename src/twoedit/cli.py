@@ -45,11 +45,15 @@ def _emit(args: argparse.Namespace, record: str, human: str | None, **fields) ->
         if not line.isprintable():  # a tab or a line break in a malformed word, say
             from urllib.parse import quote  # here, as only such a word needs it
 
-            # names, "=" and the separating spaces are printable: only values change
-            line = "".join(c if c.isprintable() else quote(c) for c in line)
+            # names, "=" and the separating spaces are printable: only values
+            # change, and a byte read as an escaped surrogate is itself again
+            line = "".join(
+                c if c.isprintable() else quote(c, errors="surrogateescape") for c in line
+            )
         print(line)
     elif human is not None:
-        print(human)
+        # a byte that was not UTF-8, read as an escaped surrogate, as \xNN
+        print(human.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace"))
 
 
 def _residues(st: SyndromeTuple, keys: tuple[str, ...]) -> dict:
@@ -94,11 +98,13 @@ def _params(args: argparse.Namespace) -> SyndromeTuple:
 
 def _texts(args: argparse.Namespace) -> list[tuple[str, int | None]]:
     """The batch's words as text, each with its line number when read from
-    ``--input`` or stdin, where blank lines are skipped."""
+    ``--input`` or stdin, where blank lines are skipped.  A file's bytes that
+    are not UTF-8 become escaped surrogates, as on stdin in UTF-8 mode, so
+    the word holding one is a bad word, not a failed read."""
     if args.words:
         return [(w, None) for w in args.words]
     if args.input:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8", errors="surrogateescape") as handle:
             lines = handle.readlines()
     else:
         lines = sys.stdin.readlines()

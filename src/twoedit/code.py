@@ -7,7 +7,12 @@ Pairwise verification collects in one sweep.  It keeps the first word of
 every class and starts a member list only when a second word arrives, since
 only classes of two or more words hold a pair to check.  The classes
 partition {0,1}^n, so those pairs are sharded over disjoint classes and the
-shard results merged associatively.
+shard results merged associatively.  A shard lists its pairs as packed values
+and measures ``PAIR_CHUNK`` of them at a time in one pass of
+``channel.edit_distances``: each pair is one field of a big integer, and each
+of the n steps of Myers' algorithm advances every pair's DP column at once.
+The chunks keep those integers a few tens of kilobytes at any n, and only a
+pair closer than 5 is turned into ``Word``s.
 
 Census, grouping and enumeration share one split-word sweep.  A word is a
 head ``hi`` of h = n // 2 bits followed by a tail ``lo`` of t = n - h bits.
@@ -52,9 +57,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, islice
 from typing import Iterator
 
-from .channel import edit_distance
+from .channel import edit_distances
 from .syndrome import (
     COUNT_MODULUS,
     MIN_CODE_LENGTH,
@@ -306,6 +312,9 @@ def decode_index(x: Word, p: SyndromeTuple, cap: int | None = None) -> int:
 
 MODE_BUCKET = "bucket"
 MODE_EXACT = "exact"
+# Pairs per call of the packed distance kernel, so that its integers stay
+# a few tens of kilobytes however many pairs a sweep holds.
+PAIR_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -371,20 +380,24 @@ def _shared_classes(
 
 def _distance_shard(args: tuple[int, list[tuple[tuple[int, ...], list[int]]]]):
     n, items = args
-    pairs = 0
-    min_distance: int | None = None
+    pairs = (pair for _, values in items for pair in combinations(values, 2))
+    count = 0
+    lows: list[int] = []
+    close: list[tuple[int, int, int]] = []
+    while chunk := list(islice(pairs, PAIR_CHUNK)):
+        distances = edit_distances(*zip(*chunk), n, n)
+        count += len(chunk)
+        lows.append(min(distances))
+        if lows[-1] <= 4:
+            close += [(a, b, d) for (a, b), d in zip(chunk, distances) if d <= 4]
     violations = []
-    for key, values in items:
-        members = [Word.from_int(v, n) for v in values]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                d = edit_distance(members[i], members[j])
-                pairs += 1
-                if min_distance is None or d < min_distance:
-                    min_distance = d
-                if d <= 4:
-                    violations.append(DistanceViolation(members[i], members[j], d, key))
-    return pairs, min_distance, violations
+    if close:  # only then is each word's class looked up
+        owner = {v: key for key, values in items for v in values}
+        violations = [
+            DistanceViolation(Word.from_int(a, n), Word.from_int(b, n), d, owner[a])
+            for a, b, d in close
+        ]
+    return count, min(lows, default=None), violations
 
 
 def scan_pairwise_distance(

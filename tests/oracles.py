@@ -126,6 +126,29 @@ def edit_distance_dp(x: Word, y: Word) -> int:
     return prev[len(b)]
 
 
+def edit_distance_myers(x: Word, y: Word) -> int:
+    """Edit distance by Myers' bit-parallel algorithm (Hyyrö's formulation)
+    on one pair: the scalar loop ``channel.edit_distance`` ran before the
+    pairs shared one packed integer, kept as a second reference."""
+    m, k = len(x), len(y)
+    if m < k:
+        x, y, m, k = y, x, k, m
+    mask = (1 << m) - 1
+    eq1 = x.value
+    eq0 = eq1 ^ mask
+    vp, vn = mask, 0
+    t = y.value
+    for _ in range(k):
+        xv = (eq1 if t & 1 else eq0) | vn
+        t >>= 1
+        d0 = (((xv & vp) + vp) ^ vp) | xv
+        hp = vn | ~(d0 | vp)
+        xh = (hp << 1) | 1
+        vn = xh & d0
+        vp = (((vp & d0) << 1) | ~(xh | d0)) & mask
+    return k + vp.bit_count() - vn.bit_count()
+
+
 def zeros(length: int) -> Word:
     return Word.from_int(0, length)
 

@@ -9,6 +9,7 @@ from oracles import (
     apply_errors_list,
     confusable_within,
     edit_distance_dp,
+    edit_distance_myers,
     error_ball,
     exact_patterns,
 )
@@ -16,6 +17,7 @@ from twoedit.channel import (
     ErrorPattern,
     apply_errors,
     edit_distance,
+    edit_distances,
     format_pattern,
     parse_pattern,
     random_pattern,
@@ -167,6 +169,64 @@ def test_edit_distance_matches_the_dp_past_one_machine_word():
                     bits.insert(p, rng.randint(0, 1))
             y = Word(bits)
         assert edit_distance(x, y) == edit_distance_dp(x, y), (x, y)
+
+
+def _references(xs, ys, m, k):
+    """The DP and the scalar Myers loop on every pair (xs[i], ys[i])."""
+    pairs = [(Word.from_int(a, m), Word.from_int(b, k)) for a, b in zip(xs, ys)]
+    dp = [edit_distance_dp(x, y) for x, y in pairs]
+    return dp, [edit_distance_myers(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_packed_distances_match_both_references_on_every_short_pair(m):
+    # every pair of lengths m and 0..6 in one call per length pair, so the
+    # pattern is the first or the second list and the fields are 8 bits
+    for k in range(7):
+        xs, ys = zip(*[(a, b) for a in range(1 << m) for b in range(1 << k)])
+        dp, scalar = _references(xs, ys, m, k)
+        assert edit_distances(xs, ys, m, k) == dp == scalar, (m, k)
+
+
+@pytest.mark.parametrize("m", (7, 8, 15, 16, 31, 32, 63))
+def test_packed_distances_match_both_references_at_the_field_width_edges(m):
+    # m + 1 bits fill a field exactly at m = 7, 15, 31 and 63 and spill into
+    # the next wider one at m = 8, 16 and 32; half the pairs are a word and
+    # a copy with up to four edits, so small distances occur at every m
+    rng = random.Random(m)
+    for k in (m, m - 1, m // 2):
+        xs, ys = [], []
+        for i in range(60):
+            xs.append(rng.getrandbits(m))
+            if i % 2:
+                ys.append(rng.getrandbits(k))
+                continue
+            bits = list(Word.from_int(xs[-1], m))[:k]
+            for _ in range(rng.randint(0, 4)):
+                bits[rng.randrange(k)] ^= 1
+            ys.append(Word(bits).value)
+        dp, scalar = _references(xs, ys, m, k)
+        assert edit_distances(xs, ys, m, k) == dp == scalar, (m, k)
+        assert edit_distances(ys, xs, k, m) == dp, (m, k)
+
+
+def test_packed_distances_refuse_words_no_field_holds():
+    # 64 bits and the spare bit fit no array type; the guard comes first,
+    # before a value that array would refuse on its own
+    for m, k in ((64, 64), (64, 3), (3, 64)):
+        with pytest.raises(ValueError, match="65-bit fields"):
+            edit_distances([1 << 64], [-1], m, k)
+    assert edit_distances([(1 << 63) - 1], [0], 63, 63) == [63]
+
+
+def test_packed_distances_check_their_input():
+    assert edit_distances([], [], 5, 5) == []
+    with pytest.raises(ValueError, match="patterns"):
+        edit_distances([1, 2], [1], 5, 5)
+    with pytest.raises(ValueError, match="does not fit"):
+        edit_distances([32], [1], 5, 5)
+    with pytest.raises(ValueError, match="does not fit"):
+        edit_distances([1], [8], 5, 3)
 
 
 @given(random_words, random_words)

@@ -469,6 +469,32 @@ def test_a_non_ascii_symbol_gives_the_same_record_from_a_file_as_from_stdin(
     assert lines[1] == f"record={failure} {key}=01\u06631 kind=symbol{fields}"
 
 
+@pytest.mark.parametrize("argv, failure, key, fields, good", SYMBOL_BATCHES)
+def test_a_byte_that_is_not_utf8_gives_a_record_from_a_file_and_from_stdin(
+    capsys, monkeypatch, tmp_path, argv, failure, key, fields, good
+):
+    import io
+
+    data = b"0000001\n\xff1\n0110100111\n"
+    path = tmp_path / "words.txt"
+    path.write_bytes(data)
+    for machine in (True, False):
+        flags = ["--machine"] * machine
+        # stdin as Python opens it in UTF-8 mode, or under the C locale
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        from_stdin = run_cli(capsys, *argv, *flags)
+        from_file = run_cli(capsys, *argv, "--input", str(path), *flags)
+        assert from_file == from_stdin
+        status, out, err = from_file
+        lines = out.splitlines()
+        assert (status, err, len(lines)) == (EXIT_VIOLATION, "", 3)
+        if machine:
+            assert lines[1] == f"record={failure} {key}=%FF1 kind=symbol{fields}"
+        else:
+            assert lines[1] == "\\xff1: invalid symbol '\\udcff' in word '\\udcff1' on line 2"
+
+
 def test_a_malformed_word_keeps_its_record_on_one_line(capsys):
     from urllib.parse import unquote
 

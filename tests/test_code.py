@@ -4,7 +4,7 @@ import os
 import random
 from array import array
 from collections import Counter
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 
 import pytest
 
@@ -16,6 +16,7 @@ from twoedit.code import (
     DistanceViolation,
     MODE_BUCKET,
     MODE_EXACT,
+    PAIR_CHUNK,
     ResourceCapError,
     _distance_shard,
     best_params,
@@ -332,7 +333,7 @@ def test_sweep_matches_the_oracle_scan(monkeypatch, n, mode):
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(SerialPool, "sizes", [])
     reference = oracles.scan_pairwise_distance(n, mode)
-    for workers in (1, 3):
+    for workers in (1, 2, 3):
         assert scan_pairwise_distance(n, mode, workers=workers) == reference
 
 
@@ -362,6 +363,27 @@ def test_sweep_violation_reporting_machinery():
     assert violations == [
         DistanceViolation(Word("0000000"), Word("0000001"), 1, (0, 0, 0, 0))
     ]
+
+
+def test_a_shard_of_one_chunk_plus_one_pair_matches_the_dp():
+    # PAIR_CHUNK - 189 classes of two, then one of 20 words (190 pairs) that
+    # straddles the chunk boundary; its last pair, alone in the second chunk,
+    # is at distance 1
+    rng = random.Random(20)
+    evens = rng.sample(range(0, 1 << 16, 2), 2 * (PAIR_CHUNK - 189) + 19)
+    items = [((i, 0, 0, 0), sorted(evens[2 * i : 2 * i + 2])) for i in range(PAIR_CHUNK - 189)]
+    last = sorted(evens[2 * (PAIR_CHUNK - 189) :])
+    items.append(((-1, 0, 0, 0), last + [last[-1] + 1]))
+    expected = []
+    for key, values in items:
+        for a, b in combinations(values, 2):
+            x, y = Word.from_int(a, 16), Word.from_int(b, 16)
+            expected.append((x, y, oracles.edit_distance_dp(x, y), key))
+    assert len(expected) == PAIR_CHUNK + 1
+    pairs, min_distance, violations = _distance_shard((16, items))
+    assert (pairs, min_distance) == (PAIR_CHUNK + 1, 1)
+    assert violations == [DistanceViolation(*e) for e in expected if e[2] <= 4]
+    assert violations[-1] == DistanceViolation(*expected[-1])
 
 
 def test_exact_groups_refine_buckets():
