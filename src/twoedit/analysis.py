@@ -14,13 +14,19 @@ positions of the substitutions, and the sorted V deletions.  The matching is
 implied, since the t-th undeleted position of U is matched to the t-th
 undeleted one of V, so checking an alignment costs O(#errors) operations on
 the packed words: with the deletions shifted out, the two words may differ
-only at the ranks of the substitutions.  By the same ranks, a cut (i, j)
-crosses no matched pair exactly when as many matched positions of U lie at
-or before i as of V at or before j, and both counts and the cut search cost
-O(#errors), not O(n).  A cut splices the filler into both packed words with
-shifts and masks, so each round's words are the next round's "before"
-words.  Only alignments from outside are checked: ``separate_errors`` trusts
-the one ``find_relation`` just built.
+only at the ranks of the substitutions, and classification reads each
+error's three-symbol window as three bits of a packed word.  By the same
+ranks, a cut (i, j) crosses no matched pair exactly when as many matched
+positions of U lie at or before i as of V at or before j.
+
+Separation sorts a pair's errors once.  A cut keeps the errors before it and
+moves every error after it by the filler's length, so the order holds from
+round to round and no gap left of the cut narrows again.  No position
+between the last error kept and the first one moved is deleted, so the cut
+is a few additions on the kept deletion counts.  A cut splices the filler
+into both packed words with shifts and masks, so each round's words are the
+next round's "before" words.  Only alignments from outside are checked:
+``separate_errors`` trusts the one ``find_relation`` just built.
 
 Separation needs no round budget.  A pair has at most four errors, so at
 most three gaps.  Each round splices a filler of length >= 2 into the
@@ -64,6 +70,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import lt
 
 from .words import Word, pad
 
@@ -125,7 +132,7 @@ def check_alignment(u: Word, v: Word, alignment: Alignment) -> None:
         raise AlignmentError("aligned words must have equal length")
     dels_u, subs, dels_v = alignment.dels_u, alignment.subs, alignment.dels_v
     for name, ps in (("U deletion", dels_u), ("substitution", subs), ("V deletion", dels_v)):
-        if ps and not (1 <= ps[0] and ps[-1] <= n and all(a < b for a, b in zip(ps, ps[1:]))):
+        if ps and not (1 <= ps[0] and ps[-1] <= n and all(map(lt, ps, ps[1:]))):
             raise AlignmentError(f"{name} positions {ps} do not ascend strictly within [1, {n}]")
     if len(dels_u) != len(dels_v):
         raise AlignmentError("a del/sub pair needs equally many deletions on each side")
@@ -168,12 +175,22 @@ def _kth(k: int, dels: list[int]) -> int:
     return k
 
 
-def _f2(a: str, b: str) -> int:
-    return int(a != b)
+# f3 of a three-symbol window abc packed as 4a + 2b + c: its unequal adjacent
+# pairs; deleting b gains f3 - f2, which is 2 exactly for 010 and 101
+_F3 = (0, 1, 2, 1, 1, 2, 1, 0)
+_DEL_GAIN = (0, 0, 2, 0, 0, 2, 0, 0)
+_KINDS = (DEL_OVER, SUB, DEL_UNDER)
 
 
-def _f3(a: str, b: str, c: str) -> int:
-    return int(a != b) + int(b != c)
+def _errors(alignment: Alignment) -> list[tuple[int, int]]:
+    """The error positions tagged 0 (U deletion), 1 (substitution) or 2 (V
+    deletion), sorted: a position holds at most one U error and one V
+    deletion, the U error first."""
+    return sorted(
+        [(p, 0) for p in alignment.dels_u]
+        + [(p, 1) for p in alignment.subs]
+        + [(p, 2) for p in alignment.dels_v]
+    )
 
 
 def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeValue]:
@@ -182,41 +199,34 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
     Substitutions compare the three-symbol window around the error before and
     after writing the matched symbol; the left neighbour is read through the
     matching because it may itself be a substitution.  Deletions compare the
-    window against the two-symbol remainder on their own side.
+    window against the two-symbol remainder on their own side.  A window of
+    position p is bits n - p + 1 .. n - p - 1 of its packed word.
     """
     check_alignment(u, v, alignment)
-    dels_u, subs, dels_v = alignment.dels_u, alignment.subs, alignment.dels_v
+    dels_u, dels_v = alignment.dels_u, alignment.dels_v
     s = len(dels_u)
-    entries = sorted(
-        [(p, DEL_OVER) for p in dels_u]
-        + [(p, SUB) for p in subs]
-        + [(p, DEL_UNDER) for p in dels_v]
-    )
-    values = [p for p, _ in entries]
-    for a, b in zip(values, values[1:]):
+    errors = _errors(alignment)
+    for (a, _), (b, _) in zip(errors, errors[1:]):
         if b - a < 2 * s + 1:
             raise SeparationError(
                 f"error positions {a} and {b} are closer than {2 * s + 1}; windows overlap"
             )
     n = len(u)
-    su, sv = str(u), str(v)
-
-    def tau_u(p: int) -> str:
-        """The V symbol matched to (undeleted) U position ``p``."""
-        return sv[_kth(_rank(p, dels_u), dels_v) - 1]
-
+    uv, vv = u.value, v.value
     out = []
-    for p, kind in entries:
+    for p, c in errors:
         if not 2 <= p <= n - 1:
             raise SeparationError(f"error position {p} outside the interior [2, {n - 1}]")
-        if kind == SUB:
-            left = tau_u(p - 1)
-            e = _f3(left, su[p - 1], su[p]) - _f3(left, tau_u(p), su[p])
-        elif kind == DEL_OVER:
-            e = _f3(su[p - 2], su[p - 1], su[p]) - _f2(su[p - 2], su[p])
+        if c == 1:  # left and tau: the V symbols matched to U positions p - 1 and p
+            left = (vv >> (n - _kth(_rank(p - 1, dels_u), dels_v)) & 1) << 2
+            tau = vv >> (n - _kth(_rank(p, dels_u), dels_v)) & 1
+            w = uv >> (n - p - 1) & 3  # U symbols p and p + 1
+            e = _F3[left | w] - _F3[left | tau << 1 | w & 1]
+        elif c == 2:
+            e = -_DEL_GAIN[vv >> (n - p - 1) & 7]
         else:
-            e = _f2(sv[p - 2], sv[p]) - _f3(sv[p - 2], sv[p - 1], sv[p])
-        out.append(ErrorTypeValue(kind, e, p))
+            e = _DEL_GAIN[uv >> (n - p - 1) & 7]
+        out.append(ErrorTypeValue(_KINDS[c], e, p))
     return out
 
 
@@ -229,60 +239,33 @@ def pair_type(u: Word, v: Word, alignment: Alignment) -> tuple[tuple[str, ...], 
 # --- segmentation ---------------------------------------------------------
 
 
-class _PairState:
-    """A word pair and its error positions; the t-th undeleted position of
-    ``x`` is matched to the t-th undeleted one of ``y``.
+def _cut_ok(alignment: Alignment, n: int, i: int, j: int) -> bool:
+    """No matched pair crosses the cut (i, j) of two n-symbol words: as many
+    lie at or before i in U as at or before j in V."""
+    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
+        return False
+    return _rank(i, alignment.dels_u) == _rank(j, alignment.dels_v)
 
-    The alignment must already be known valid (checked, or built by
-    ``find_relation``), so its position tuples arrive sorted."""
 
-    __slots__ = ("x", "y", "subs", "dels_u", "dels_v")
-
-    def __init__(self, x: Word, y: Word, alignment: Alignment):
-        self.x = x
-        self.y = y
-        self.subs = alignment.subs
-        self.dels_u = alignment.dels_u
-        self.dels_v = alignment.dels_v
-
-    def error_entries(self) -> list[tuple[int, str]]:
-        """Error positions tagged by owning side, sorted by (position, side)."""
-        return sorted(
-            [(p, "u") for p in self.dels_u]
-            + [(p, "u") for p in self.subs]
-            + [(p, "v") for p in self.dels_v]
-        )
-
-    def cut_ok(self, i: int, j: int) -> bool:
-        """No matched pair crosses the cut: as many lie at or before i in U
-        as at or before j in V."""
-        if not (1 <= i <= len(self.x) - 1 and 1 <= j <= len(self.y) - 1):
-            return False
-        return _rank(i, self.dels_u) == _rank(j, self.dels_v)
-
-    def filler(self, i: int, j: int) -> tuple[int, int]:
-        """Packed value and length of the filler for the cut (i, j)."""
-        n = len(self.x)
-        xv, yv = self.x.value, self.y.value
-        if i == j:
-            xt, yt = xv >> (n - i - 1), yv >> (n - i - 1)  # x[i - 1] x[i] are the low 2 bits
-            z = _meet_filler((xt >> 1) & 1, xt & 1, (yt >> 1) & 1, yt & 1)
-            return (z[0] << 1) | z[1], 2
+def _cut(x: Word, y: Word, n: int, i: int, j: int) -> tuple[Word, Word, Word]:
+    """The n-symbol words ``x`` and ``y`` with the filler of the cut (i, j)
+    spliced in, and the filler."""
+    xv, yv = x.value, y.value
+    if i == j:
+        xt, yt = xv >> (n - i - 1), yv >> (n - i - 1)  # x[i - 1] x[i] are the low 2 bits
+        z = _meet_filler((xt >> 1) & 1, xt & 1, (yt >> 1) & 1, yt & 1)
+        zv, length = (z[0] << 1) | z[1], 2
+    else:
         if i < j:  # x[i:j] + y[j - 1]
             t, width, body, last = n - j, j - i, xv, yv
         else:  # y[j:i] + x[i - 1]
             t, width, body, last = n - i, i - j, yv, xv
-        return (((body >> t) & ((1 << width) - 1)) << 1) | ((last >> t) & 1), width + 1
-
-    def apply_cut(self, i: int, j: int) -> Word:
-        zv, length = self.filler(i, j)
-        n = len(self.x)
-        self.x = Word.from_int(_splice(self.x.value, n - i, zv, length), n + length)
-        self.y = Word.from_int(_splice(self.y.value, n - j, zv, length), n + length)
-        self.subs = [p + length if p > i else p for p in self.subs]
-        self.dels_u = [p + length if p > i else p for p in self.dels_u]
-        self.dels_v = [p + length if p > j else p for p in self.dels_v]
-        return Word.from_int(zv, length)
+        zv, length = (((body >> t) & ((1 << width) - 1)) << 1) | ((last >> t) & 1), width + 1
+    return (
+        Word.from_int(_splice(xv, n - i, zv, length), n + length),
+        Word.from_int(_splice(yv, n - j, zv, length), n + length),
+        Word.from_int(zv, length),
+    )
 
 
 def _splice(value: int, tail: int, zv: int, length: int) -> int:
@@ -310,12 +293,10 @@ def segment_once(x: Word, y: Word, alignment: Alignment, cut: tuple[int, int]) -
     ``y``; it is rejected unless every matched pair lies entirely on one side.
     """
     check_alignment(x, y, alignment)
-    state = _PairState(x, y, alignment)
     i, j = cut
-    if not state.cut_ok(i, j):
+    if not _cut_ok(alignment, len(x), i, j):
         raise SeparationError(f"cut ({i}, {j}) crosses a matched pair or is out of range")
-    state.apply_cut(i, j)
-    return state.x, state.y
+    return _cut(x, y, len(x), i, j)[:2]
 
 
 # --- canonical alignment search -------------------------------------------
@@ -514,48 +495,32 @@ class Separation:
         return a.dels_u + a.subs + a.dels_v
 
 
-def _find_cut(state: _PairState, errors, m: int):
-    """A cut keeping errors[:m] in place and shifting errors[m:], or None.
+def _find_cut(errors: list[tuple[int, int]], m: int, n: int, s: int):
+    """A cut of two n-symbol words with s deletions a side that keeps
+    errors[:m] in place and shifts errors[m:], or None.
 
-    With (a_k, b_k) the k-th matched pair, the cut is (max(a_k, i_lo),
-    max(b_k, j_lo)) for the smallest k that puts i_lo and j_lo before the
-    (k+1)-th pair and the k-th pair at or before i_hi and j_hi."""
-    big = len(state.x)
-    lo = {"u": 1, "v": 1}
-    hi = {"u": big, "v": big}
-    for p, side in errors[:m]:
-        if p > lo[side]:
-            lo[side] = p
-    for p, side in errors[m:]:
-        if p < hi[side]:
-            hi[side] = p
-    i_lo, j_lo = lo["u"], lo["v"]
-    i_hi, j_hi = hi["u"] - 1, hi["v"] - 1
-    if i_lo > i_hi or j_lo > j_hi:
+    A U cut i lies at or after the last U error kept, i_lo, and before the
+    first one shifted, i_hi + 1.  No position between them is deleted, so i
+    has i - du matched positions at or before it, du being the U deletions
+    kept; likewise for V.  The cut is (k + du, k + dv) for the smallest
+    k >= 1 that fits both ranges and leaves a matched pair after it."""
+    i_lo = j_lo = 1
+    i_hi = j_hi = n
+    du = dv = 0
+    for p, c in errors[:m]:
+        if c == 2:
+            j_lo, dv = p, dv + 1
+        else:
+            i_lo, du = p, du + 1 - c
+    for p, c in reversed(errors[m:]):
+        if c == 2:
+            j_hi = p
+        else:
+            i_hi = p
+    k = max(1, i_lo - du, j_lo - dv)
+    if k > min(n - s - 1, i_hi - 1 - du, j_hi - 1 - dv):
         return None
-    dels_u, dels_v = state.dels_u, state.dels_v
-    k = max(1, _rank(i_lo, dels_u), _rank(j_lo, dels_v))
-    if k > min(big - len(dels_u) - 1, _rank(i_hi, dels_u), _rank(j_hi, dels_v)):
-        return None
-    return max(_kth(k, dels_u), i_lo), max(_kth(k, dels_v), j_lo)
-
-
-def _next_cut(state: _PairState, k: int):
-    """Cut widening the leftmost gap below k between adjacent errors, or None
-    if there is none; two errors at one position may be cut in either order."""
-    errors = state.error_entries()
-    m = next((m for m in range(1, len(errors)) if errors[m][0] - errors[m - 1][0] < k), None)
-    if m is None:
-        return None
-    cut = _find_cut(state, errors, m)
-    if cut is None and errors[m - 1][0] == errors[m][0]:
-        swapped = errors[:m - 1] + [errors[m], errors[m - 1]] + errors[m + 1 :]
-        cut = _find_cut(state, swapped, m)
-    if cut is None:
-        raise SeparationError(
-            f"no matched cut separates errors {errors} in {state.x} / {state.y}"
-        )
-    return cut
+    return k + du, k + dv
 
 
 def separate_errors(
@@ -574,19 +539,32 @@ def separate_errors(
         raise ValueError("separation distance must be at least 1")
     if len(x) != len(y):
         raise ValueError("words must have equal length")
-    big_x, big_y = pad(x), pad(y)
-    s, r, alignment = find_relation(big_x, big_y, s, r)
-    state = _PairState(big_x, big_y, alignment)
+    u, v = pad(x), pad(y)
+    s, r, alignment = find_relation(u, v, s, r)
+    errors = _errors(alignment)
     rounds: list[SegmentationRound] = []
-    while (cut := _next_cut(state, k)) is not None:
-        x_before, y_before = state.x, state.y
-        z = state.apply_cut(*cut)
-        rounds.append(SegmentationRound(x_before, y_before, cut, z, state.x, state.y))
-    return Separation(
-        u=state.x,
-        v=state.y,
-        s=s,
-        r=r,
-        alignment=Alignment(tuple(state.dels_u), tuple(state.subs), tuple(state.dels_v)),
-        rounds=tuple(rounds),
-    )
+    n, m, end = len(u), 1, len(errors)  # a cut moves no gap left of its own: resume there
+    while True:
+        while m < end and errors[m][0] - errors[m - 1][0] >= k:
+            m += 1
+        if m >= end:
+            break
+        cut = _find_cut(errors, m, n, s)
+        if cut is None and errors[m - 1][0] == errors[m][0]:  # either may go first
+            errors[m - 1], errors[m] = errors[m], errors[m - 1]
+            cut = _find_cut(errors, m, n, s)
+            if cut is None:
+                errors[m - 1], errors[m] = errors[m], errors[m - 1]
+        if cut is None:
+            shown = [(p, "v" if c == 2 else "u") for p, c in errors]
+            raise SeparationError(f"no matched cut separates errors {shown} in {u} / {v}")
+        x_after, y_after, z = _cut(u, v, n, *cut)
+        rounds.append(SegmentationRound(u, v, cut, z, x_after, y_after))
+        u, v, length = x_after, y_after, len(z)
+        n += length
+        errors[m:] = [(p + length, c) for p, c in errors[m:]]  # the order stays sorted
+    kinds: tuple[list[int], ...] = ([], [], [])
+    for p, c in errors:
+        kinds[c].append(p)
+    alignment = Alignment(*map(tuple, kinds))
+    return Separation(u=u, v=v, s=s, r=r, alignment=alignment, rounds=tuple(rounds))

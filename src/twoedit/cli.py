@@ -32,6 +32,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# largest --k of analyze classify: a separation keeps both words of each of
+# its up to 3k/2 rounds, each of up to about 3k symbols, so memory grows as k^2
+MAX_SEPARATION = 1024
+
 # field names of the four residues in syndrome and in code-parameter records
 S_KEYS = ("s0", "s1", "s2", "s3")
 K_KEYS = ("k1", "k2", "k3", "k4")
@@ -317,6 +321,8 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from . import analysis  # as decoder in _cmd_decode
 
+    if args.k > MAX_SEPARATION:
+        raise ValueError(f"--k must be at most {MAX_SEPARATION}, got {args.k}")
     x, y = parse_word(args.x), parse_word(args.y)
     sep = analysis.separate_errors(x, y, args.k)
     classified = analysis.classify_errors(sep.u, sep.v, sep.alignment)

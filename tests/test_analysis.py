@@ -287,6 +287,75 @@ def test_classify_errors_matches_the_oracle_on_malformed_alignments():
         assert _classified_alike(planted[0], y, planted[1]), (planted, y)
 
 
+@pytest.mark.parametrize("k", (5, 9))
+@pytest.mark.parametrize("n", (100, 300))
+def test_classify_errors_matches_the_oracle_on_long_pairs(n, k):
+    # each window is read from a packed word of many 30-bit digits
+    rng = random.Random(900 + n + k)
+    for _ in range(40):
+        x, y = oracles.random_confusable_pair(rng, n)
+        sep = separate_errors(x, y, k)
+        assert sep == oracles.separate_errors_lists(x, y, k), (x, y, k)
+        _replay_rounds(sep, find_relation(pad(x), pad(y))[2], k)
+        args = (sep.u, sep.v, sep.alignment)
+        assert classify_errors(*args) == oracles.classify_errors(*args), (x, y, k)
+
+
+def _planted(rng, n, dels_u, subs, dels_v):
+    """Random n-symbol words and ``Alignment(dels_u, subs, dels_v)``: the
+    t-th kept symbols of U and V agree unless the t-th kept U position is in
+    ``subs``."""
+    u = Word.from_int(rng.getrandbits(n), n)
+    v = [rng.randint(0, 1) for _ in range(n)]
+    kept_u = [p for p in range(1, n + 1) if p not in dels_u]
+    kept_v = [p for p in range(1, n + 1) if p not in dels_v]
+    for a, b in zip(kept_u, kept_v):
+        if a not in subs:
+            v[b - 1] = u[a - 1]
+    return u, Word(v), Alignment(tuple(dels_u), tuple(subs), tuple(dels_v))
+
+
+def _planted_defect(rng, n, kind):
+    """Words and an alignment that relates them but that classification
+    refuses: an error at position 1 or n, two windows closer than 2s + 1,
+    or a substitution on a U deletion."""
+    s = rng.randrange(3) if kind == "edge" else rng.randrange(1, 3)
+    if kind == "edge":  # 2s + 1 apart, from position 1 or back from n
+        spots = [1 + t * (2 * s + 1) for t in range(2 * s + 2)]
+        spots = [n + 1 - p for p in spots] if rng.random() < 0.5 else spots
+        rng.shuffle(spots)
+    else:
+        spots = rng.sample(range(2, n), 2 * s + 2)
+    dels_u, dels_v = sorted(spots[:s]), sorted(spots[s : 2 * s])
+    subs = sorted(spots[2 * s :])
+    if kind == "overlap":  # a V deletion within 2s of a U error
+        near = rng.choice(dels_u + subs) + rng.randrange(1 - 2 * s, 2 * s)
+        if not 2 <= near <= n - 1 or near in dels_v:
+            return None
+        dels_v = sorted(dels_v[1:] + [near])
+    elif kind == "deleted substitution":
+        subs = sorted(subs[1:] + [rng.choice(dels_u)])
+    return _planted(rng, n, dels_u, subs, dels_v)
+
+
+def test_classify_errors_matches_the_oracle_on_planted_defects():
+    rng = random.Random(97)
+    for t in range(300):
+        kind = ("edge", "overlap", "deleted substitution")[t % 3]
+        planted = None
+        while planted is None:
+            planted = _planted_defect(rng, rng.randrange(30, 60), kind)
+        got = _classify_outcome(classify_errors, *planted)
+        expected = _classify_outcome(oracles.classify_errors, *planted)
+        if kind == "deleted substitution":
+            # both refuse the alignment; the oracle's rule words it otherwise
+            a = (set(planted[2].subs) & set(planted[2].dels_u)).pop()
+            assert expected[0] is AlignmentError, planted
+            assert got == (AlignmentError, f"substitution at U position {a} is deleted"), planted
+        else:
+            assert got == expected and got[0] is SeparationError, (kind, planted, got)
+
+
 def test_segmentation_worked_example():
     x, y = Word("00010"), Word("01110")
     s, r, al = find_relation(x, y, s=2, r=0)
@@ -584,20 +653,22 @@ def test_rank_cut_rule_matches_the_matched_pair_scan_exhaustive(n):
                 alignment = find_relation(big_x, big_y, *shape)[2]
             except NoRelationError:
                 continue
-            state = analysis._PairState(big_x, big_y, alignment)
-            key = (n, tuple(state.dels_u), tuple(state.subs), tuple(state.dels_v))
+            key = (n, alignment.dels_u, alignment.subs, alignment.dels_v)
             if key in checked:
                 continue
             checked.add(key)
             reference = oracles._ListPairState.from_alignment(big_x, big_y, alignment)
             for i, j in product(range(n + 4), repeat=2):
-                assert state.cut_ok(i, j) == reference.cut_ok(i, j), (key, i, j)
-            errors = state.error_entries()
+                got = analysis._cut_ok(alignment, n + 2, i, j)
+                assert got == reference.cut_ok(i, j), (key, i, j)
+            errors = analysis._errors(alignment)
             for m in range(1, len(errors)):
                 swapped = errors[: m - 1] + [errors[m], errors[m - 1]] + errors[m + 1 :]
                 for order in (errors, swapped):
-                    expected = oracles._list_find_cut(reference, order, m)
-                    assert analysis._find_cut(state, order, m) == expected, (key, order, m)
+                    sides = [(p, "v" if c == 2 else "u") for p, c in order]
+                    expected = oracles._list_find_cut(reference, sides, m)
+                    got = analysis._find_cut(order, m, n + 2, len(alignment.dels_u))
+                    assert got == expected, (key, order, m)
     assert checked or n < 3
 
 
@@ -609,6 +680,18 @@ def test_separate_errors_matches_the_list_state_on_random_pairs(n):
         sep = separate_errors(x, y, 5)
         assert sep == oracles.separate_errors_lists(x, y, 5), (x, y)
         _replay_rounds(sep, find_relation(pad(x), pad(y))[2], 5)
+
+
+def test_separate_errors_names_the_sorted_errors_when_no_cut_fits(monkeypatch):
+    # the tie at position 2 needs the V error first, so the library tries
+    # both orders before it gives up, and names the errors in sorted order
+    x, y = Word("001001"), Word("100110")
+    _replay_rounds(separate_errors(x, y, 5), find_relation(pad(x), pad(y))[2], 5)
+    monkeypatch.setattr(analysis, "_find_cut", lambda *args: None)
+    shown = "[(2, 'u'), (2, 'v'), (5, 'u'), (7, 'u')] in 00010010 / 01001100"
+    with pytest.raises(SeparationError) as exc:
+        separate_errors(x, y, 5)
+    assert str(exc.value) == f"no matched cut separates errors {shown}"
 
 
 def test_separate_errors_trusts_its_own_alignment(monkeypatch):
@@ -655,9 +738,13 @@ def _replay_rounds(sep, alignment, k):
     """Replay ``sep``'s cuts from ``alignment``, the relation it starts
     from: each round moves exactly the errors after the leftmost gap below
     k, by its filler's length (at least 2), so the rounds number at most
-    ceil((k - gap) / 2) summed over the initial gaps below k."""
+    ceil((k - gap) / 2) summed over the initial gaps below k.  The
+    (position, kind) order carried from round to round, its suffix moved
+    and a tie at the cut taken V error first where the cut moved the U
+    error, is a fresh sort of the moved errors each round."""
     dels_u, subs, dels_v = alignment.dels_u, alignment.subs, alignment.dels_v
     before = sorted(dels_u + subs + dels_v)
+    errors = analysis._errors(alignment)
     gaps = [b - a for a, b in zip(before, before[1:])]
     assert len(sep.rounds) <= sum(math.ceil(max(0, k - g) / 2) for g in gaps)
     for rnd in sep.rounds:
@@ -670,6 +757,10 @@ def _replay_rounds(sep, alignment, k):
         after = sorted(dels_u + subs + dels_v)
         assert after == before[:m] + [p + length for p in before[m:]]
         before = after
+        if errors[m - 1][0] == errors[m][0] > i:
+            errors[m - 1], errors[m] = errors[m], errors[m - 1]
+        errors[m:] = [(p + length, c) for p, c in errors[m:]]
+        assert errors == analysis._errors(Alignment(dels_u, subs, dels_v))
     assert sep.alignment == Alignment(dels_u, subs, dels_v)
 
 

@@ -18,6 +18,7 @@ from twoedit.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    MAX_SEPARATION,
     _integer,
     build_parser,
     main,
@@ -177,6 +178,27 @@ def test_analyze_classify_classifies_once(capsys, monkeypatch):
     status, out, _ = run_cli(capsys, *argv)
     assert status == EXIT_OK and "record=pair-type" in out
     assert len(calls) == 1
+
+
+_CLASSIFY_PAIR = ("analyze", "classify", "--x", "0001011", "--y", "0110001", "--machine")
+
+
+def test_analyze_classify_takes_k_up_to_the_bound(capsys):
+    status, out, err = run_cli(capsys, *_CLASSIFY_PAIR, "--k", str(MAX_SEPARATION))
+    assert status == EXIT_OK and err == ""
+    assert "record=pair-type" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    (
+        (0, "separation distance must be at least 1"),
+        (MAX_SEPARATION + 1, f"--k must be at most {MAX_SEPARATION}, got {MAX_SEPARATION + 1}"),
+    ),
+)
+def test_analyze_classify_rejects_k_out_of_range(capsys, k, message):
+    expected = (EXIT_USAGE, "", f"error: {message}\n")
+    assert run_cli(capsys, *_CLASSIFY_PAIR, "--k", str(k)) == expected
 
 
 def test_analyze_segment_worked_example(capsys):
