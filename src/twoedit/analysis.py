@@ -26,7 +26,8 @@ between the last error kept and the first one moved is deleted, so the cut
 is a few additions on the kept deletion counts.  A cut splices the filler
 into both packed words with shifts and masks, so each round's words are the
 next round's "before" words.  Only alignments from outside are checked:
-``separate_errors`` trusts the one ``find_relation`` just built.
+``separate_errors`` trusts the one ``find_relation`` just built, and
+``classify_separation`` the one ``separate_errors`` returns.
 
 Separation needs no round budget.  A pair has at most four errors, so at
 most three gaps.  Each round splices a filler of length >= 2 into the
@@ -203,6 +204,16 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
     position p is bits n - p + 1 .. n - p - 1 of its packed word.
     """
     check_alignment(u, v, alignment)
+    return _classify(u, v, alignment)
+
+
+def classify_separation(sep: Separation) -> list[ErrorTypeValue]:
+    """``classify_errors`` of a separation that ``separate_errors`` built:
+    its alignment is checked already, so it is not checked again."""
+    return _classify(sep.u, sep.v, sep.alignment)
+
+
+def _classify(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeValue]:
     dels_u, dels_v = alignment.dels_u, alignment.dels_v
     s = len(dels_u)
     errors = _errors(alignment)

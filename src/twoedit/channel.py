@@ -13,9 +13,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
+from .syndrome import MAX_EDITS  # the channel's budget
 from .words import Word
-
-MAX_EDITS = 2  # the channel's budget: two edits in total
 
 
 @dataclass(frozen=True)

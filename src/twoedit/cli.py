@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 from typing import Iterator
 
-from . import channel, code
+from . import code
 from .syndrome import (
     MIN_CODE_LENGTH,
     SyndromeTuple,
@@ -193,14 +192,15 @@ def _cmd_census(args: argparse.Namespace) -> int:
     best, best_count = top[0] if top else census.largest()
     r = code.redundancy(best, size=best_count)
     bound = f"{code.redundancy_bound(args.n):.6f}"
+    words, classes = census.total(), census.class_count()
     _emit(
         args,
         "census",
-        f"n={args.n}: {census.total()} words in {census.class_count()} classes; "
+        f"n={args.n}: {words} words in {classes} classes; "
         f"largest={best_count}, redundancy={r:.6f} (bound {bound})",
         n=args.n,
-        words=census.total(),
-        buckets=census.class_count(),
+        words=words,
+        buckets=classes,
         max_count=best_count,
         redundancy=f"{r:.6f}",
         bound=bound,
@@ -253,6 +253,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
+    import random  # as decoder in _cmd_decode
+
+    from . import channel
+
     rng = random.Random(args.seed)
     # parsed once for the whole batch, so a malformed one fails an empty batch too
     fixed = None if args.random else channel.parse_pattern(args.pattern or "")
@@ -325,7 +329,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be at most {MAX_SEPARATION}, got {args.k}")
     x, y = parse_word(args.x), parse_word(args.y)
     sep = analysis.separate_errors(x, y, args.k)
-    classified = analysis.classify_errors(sep.u, sep.v, sep.alignment)
+    classified = analysis.classify_separation(sep)
     for e in classified:
         human = f"position {e.position}: {e.kind} value {e.value:+d}"
         _emit(args, "classified", human, position=e.position, kind=e.kind, value=e.value)

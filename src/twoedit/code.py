@@ -35,10 +35,13 @@ identity and the key holds the unreduced sums.
 
 The sweep works on whole tail rows, each packed into one integer with one
 fixed-width field per tail (SIMD within a register, Lamport 1975).  Once per
-sweep each tail's scaled, reduced terms l_j are packed into one integer per
-component and last head bit, and the four components into one row sum for
+sweep each tail's scaled, reduced terms l_j are read off one table per
+component over the t + 1 bit tail masks, which doubling over the mask bits
+builds as ``syndrome`` builds its byte tables, and packed into one integer
+per component and last head bit.  The four components make one row sum for
 each head count c = 0..h (c fixes the head's last bit: it is odd iff that
-bit is 1).  A head's scaled, reduced terms a_j then give the keys of all 2^t
+bit is 1), its count field (c + lc) % r3 reduced as the heads reduce theirs
+below.  A head's scaled, reduced terms a_j then give the keys of all 2^t
 of its words by a dozen big-integer operations: for reduced a and l,
 (a + l) % q == a + l - q * [l >= q - a], so the head adds a_0 + a_1 + a_2 to
 every field of its row sum, and for each component j subtracts q_j from the
@@ -46,6 +49,10 @@ fields where l_j >= q_j - a_j, which a subtraction marks in each field's
 top bit.  The fields are 32 or 64 bits wide, whichever holds every key at
 the radices (``_field_type``), and ``array`` unpacks them into the list of
 keys.
+
+A census ranks only the classes that can rank.  ``Census.top`` reads the
+class sizes as one byte each and filters them at C speed with a threshold
+raised while k classes stay at or above it, so only those are sorted.
 """
 
 from __future__ import annotations
@@ -57,10 +64,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
+from operator import neg
 from typing import Iterator
 
-from .channel import edit_distances
 from .syndrome import (
     COUNT_MODULUS,
     MIN_CODE_LENGTH,
@@ -177,39 +184,40 @@ def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[in
     def packed(values) -> int:
         return int.from_bytes(array(typecode, values).tobytes(), sys.byteorder)
 
-    # Each tail's terms after a last head bit 0: the transitions into the
-    # tail and the right pad, at their places in the n + 1 bit mask.
+    # One table per component over the t + 1 bit transition masks of a tail
+    # and the right pad.  Mask bit b, at position n - b of the word's n + 1
+    # bit mask, adds P_k(n + 2) - P_k(n + 1 - b) to sum k and 1 to the count,
+    # so doubling over the bits builds each table, reduced and scaled as it
+    # grows.
+    powers = map(power_sums, range(n + 1, n - t, -1))  # P_k(n + 1 - b) for b = 0..t
+    weights = [(f0 - w0, f1 - w1, f2 - w2, 1) for w0, w1, w2 in powers]
+    tables = []
+    for r, p, ws in zip(radices, (p0, p1, p2, 1), zip(*weights)):
+        q, table = r * p, [0]
+        for w in ws:
+            w = w % r * p
+            table += [(x + w) % q for x in table]
+        tables.append(table)
+    # Per last head bit, one packed column per component, read off the
+    # tables: after a last head bit 1 the transition into the tail, mask bit
+    # t, flips.
     low = (1 << (t + 1)) - 1
-    terms = []
-    for lo in range(1 << t):
-        m = (lo ^ (lo << 1)) & low
-        c = m.bit_count()
-        s0, s1, s2 = transition_sums(m, n + 1)
-        terms.append((c * f0 - s0, c * f1 - s1, c * f2 - s2, c))
-    # After a last head bit 1 the transition into the tail, at position h,
-    # flips: it joins the tails that start with 0 and leaves the others.
-    d0, d1, d2 = (f - w for f, w in zip((f0, f1, f2), power_sums(h + 1)))
-    flipped = [(x0 + d0, x1 + d1, x2 + d2, c + 1) for x0, x1, x2, c in terms[: 1 << t - 1]]
-    flipped += [(x0 - d0, x1 - d1, x2 - d2, c - 1) for x0, x1, x2, c in terms[1 << t - 1 :]]
-    # Per last head bit, one packed column per component, reduced and scaled.
-    columns = []
-    for tails in (terms, flipped):
-        x0, x1, x2, lc = zip(*tails)
-        b0 = packed([x % r0 * p0 for x in x0])
-        b1 = packed([x % r1 * p1 for x in x1])
-        b2 = packed([x % r2 * p2 for x in x2])
-        columns.append((b0, b1, b2, lc))
-    # One row sum per head count c, which fixes the head's last bit; the
-    # reduced count (c + lc) % r3 is its own component, below p2.
+    masks = [(lo ^ (lo << 1)) & low for lo in range(1 << t)]
+    flipped = [m ^ 1 << t for m in masks]
+    columns = [[packed(map(table.__getitem__, ms)) for table in tables] for ms in (masks, flipped)]
+    # For reduced a and l, (a + l) % q == a + l - q * [l >= q - a].  With the
+    # top bit of every field set, subtracting q - a from a column leaves that
+    # bit set exactly where l >= q - a, so one subtraction reduces every field.
+    # One row sum per head count c, which fixes the head's last bit, with the
+    # count (c + lc) % r3 reduced this way; it is its own component, below p2.
+    half = ones << top
     rows = []
     for c in range(h + 1):
-        b0, b1, b2, lc = columns[c & 1]
-        rows.append(b0 + b1 + b2 + packed([(c + x) % r3 for x in lc]))
-    # The columns with the top bit of every field set: subtracting q - a
-    # leaves that bit set exactly where l >= q - a, and since for reduced a
-    # and l, (a + l) % q == a + l - q * [l >= q - a], each head reduces all
-    # its fields at once.
-    half = ones << top
+        b0, b1, b2, b3 = columns[c & 1]
+        a3 = c % r3
+        wraps = (b3 + half - (r3 - a3) * ones) >> top & ones
+        rows.append(b0 + b1 + b2 + b3 + a3 * ones - wraps * r3)
+    # Each head reduces its terms' sums with the row in the same way.
     bounds = [(b0 + half, b1 + half, b2 + half) for b0, b1, b2, _ in columns]
     for hi in range(1 << h):
         m = hi ^ (hi >> 1)
@@ -240,19 +248,39 @@ class Census:
         return len(self.counts)
 
     def top(self, k: int) -> list[tuple[SyndromeTuple, int]]:
-        """Largest k classes, ties broken by ascending packed key."""
+        """Largest k classes, ties broken by ascending packed key.
+
+        Only classes that can rank are sorted.  The sizes, one byte per
+        class in the dict's order, are filtered at C speed: ``above`` keeps
+        the sizes of at least t, and t rises from 2 while at least k classes
+        would stay, so every class below t is outranked by k others.  The
+        kept keys are read off the dict by the same filter as a byte mask.
+        Singletons rank only when fewer than k classes hold two or more
+        words, as at every n <= 10.
+        """
         if k < 0:
             raise ValueError(f"k must be at least 0, got {k}")
-        from heapq import nsmallest  # here, so that importing the CLI does not load it
-
-        ranked = nsmallest(k, ((-count, key) for key, count in self.counts.items()))
-        return [(SyndromeTuple.unpack(key, self.n), -neg) for neg, key in ranked]
+        if k == 0:  # no threshold would leave fewer than k classes
+            return []
+        counts = self.counts
+        try:
+            sizes = bytearray(counts.values())
+        except ValueError:  # a class of 256 or more words: sort them all
+            ranked = sorted((-size, key) for key, size in counts.items())
+        else:
+            t, above = 2, sizes.translate(None, b"\x00\x01")
+            while len(rest := above.translate(None, bytes((t,)))) >= k:
+                t, above = t + 1, rest
+            keep = bytes(t) + bytes(range(t, 256))  # zero for every size below t
+            ranked = sorted(zip(map(neg, above), compress(counts, sizes.translate(keep))))
+            if len(ranked) < k:  # fewer than k classes of two or more words
+                singles = sorted(key for key, size in counts.items() if size == 1)
+                ranked += [(-1, key) for key in singles[: k - len(ranked)]]
+        return [(SyndromeTuple.unpack(key, self.n), -negated) for negated, key in ranked[:k]]
 
     def largest(self) -> tuple[SyndromeTuple, int]:
         """The largest class, ties broken by ascending packed key."""
-        count = max(self.counts.values())
-        key = min(key for key, size in self.counts.items() if size == count)
-        return SyndromeTuple.unpack(key, self.n), count
+        return self.top(1)[0]
 
 
 def bucket_census(n: int, cap: int | None = None) -> Census:
@@ -262,7 +290,7 @@ def bucket_census(n: int, cap: int | None = None) -> Census:
     counts: Counter = Counter()
     for _, keys in _split_keys(n, moduli(n)):
         counts.update(keys)
-    return Census(n, dict(counts))
+    return Census(n, counts)
 
 
 def best_params(n: int, cap: int | None = None) -> tuple[SyndromeTuple, int]:
@@ -379,6 +407,8 @@ def _shared_classes(
 
 
 def _distance_shard(args: tuple[int, list[tuple[tuple[int, ...], list[int]]]]):
+    from .channel import edit_distances  # here, so that importing the CLI does not load it
+
     n, items = args
     pairs = (pair for _, values in items for pair in combinations(values, 2))
     count = 0

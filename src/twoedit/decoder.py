@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .channel import MAX_EDITS
 from .code import is_codeword, member_value
-from .syndrome import COUNT_MODULUS, SyndromeTuple, moduli, padded_weight_sums
+from .syndrome import COUNT_MODULUS, MAX_EDITS, SyndromeTuple, moduli, padded_weight_sums
 from .words import Word
 
 

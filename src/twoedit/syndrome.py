@@ -25,6 +25,7 @@ from .words import Word
 
 MIN_CODE_LENGTH = 7
 COUNT_MODULUS = 9  # the fourth modulus, the same at every length
+MAX_EDITS = 2  # what a code corrects: two insertions, deletions or substitutions in total
 
 
 def moduli(n: int) -> tuple[int, int, int, int]:

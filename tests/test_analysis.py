@@ -299,6 +299,18 @@ def test_classify_errors_matches_the_oracle_on_long_pairs(n, k):
         _replay_rounds(sep, find_relation(pad(x), pad(y))[2], k)
         args = (sep.u, sep.v, sep.alignment)
         assert classify_errors(*args) == oracles.classify_errors(*args), (x, y, k)
+        assert analysis.classify_separation(sep) == classify_errors(*args), (x, y, k)
+
+
+def test_classify_errors_keeps_the_check_that_classify_separation_skips():
+    rng = random.Random(17)
+    for n in (12, 24, 48):
+        x, y = oracles.random_confusable_pair(rng, n)
+        sep = separate_errors(x, y, 5)
+        assert analysis.classify_separation(sep) == classify_errors(sep.u, sep.v, sep.alignment)
+        # an outside alignment that declares no error between unequal words
+        with pytest.raises(AlignmentError, match="joins unequal symbols"):
+            classify_errors(sep.u, sep.v, Alignment((), (), ()))
 
 
 def _planted(rng, n, dels_u, subs, dels_v):

@@ -171,13 +171,16 @@ def test_analyze_classify(capsys):
 
 
 def test_analyze_classify_classifies_once(capsys, monkeypatch):
-    calls = []
-    classify = analysis.classify_errors
-    monkeypatch.setattr(analysis, "classify_errors", lambda *a: calls.append(a) or classify(*a))
+    # the body that classify_errors and classify_separation share runs once,
+    # and the alignment that separate_errors built is not checked again
+    calls, checks = [], []
+    classify, check = analysis._classify, analysis.check_alignment
+    monkeypatch.setattr(analysis, "_classify", lambda *a: calls.append(a) or classify(*a))
+    monkeypatch.setattr(analysis, "check_alignment", lambda *a: checks.append(a) or check(*a))
     argv = ("analyze", "classify", "--x", "0001011", "--y", "0110001", "--machine")
     status, out, _ = run_cli(capsys, *argv)
     assert status == EXIT_OK and "record=pair-type" in out
-    assert len(calls) == 1
+    assert len(calls) == 1 and not checks
 
 
 _CLASSIFY_PAIR = ("analyze", "classify", "--x", "0001011", "--y", "0110001", "--machine")
@@ -683,7 +686,7 @@ def test_reusing_the_parser_is_safe(capsys, monkeypatch):
 
 
 def test_importing_the_cli_leaves_decoder_and_analysis_unloaded():
-    # each is imported by the first command that uses it
+    # each, and channel too, is imported by the first command that uses it
     code = "import sys, twoedit.cli; print(*sorted(m for m in sys.modules if 'twoedit' in m))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -691,6 +694,7 @@ def test_importing_the_cli_leaves_decoder_and_analysis_unloaded():
     loaded = proc.stdout.split()
     assert "twoedit.cli" in loaded
     assert "twoedit.decoder" not in loaded and "twoedit.analysis" not in loaded
+    assert "twoedit.channel" not in loaded
 
 
 def test_every_package_export_resolves_on_first_use():

@@ -4,7 +4,7 @@ import os
 import random
 from array import array
 from collections import Counter
-from itertools import combinations, zip_longest
+from itertools import combinations, islice, zip_longest
 
 import pytest
 
@@ -31,7 +31,13 @@ from twoedit.code import (
     redundancy_bound,
     scan_pairwise_distance,
 )
-from twoedit.syndrome import SyndromeTuple, moduli, reduce_sums, syndrome_tuple
+from twoedit.syndrome import (
+    SyndromeTuple,
+    moduli,
+    padded_weight_sums,
+    reduce_sums,
+    syndrome_tuple,
+)
 from twoedit.words import Word
 
 ZERO7 = SyndromeTuple(7, 0, 0, 0, 0)
@@ -133,6 +139,29 @@ def test_packed_rows_match_the_per_word_keys(n, mode):
         assert got == want, want[0]
 
 
+@pytest.mark.parametrize("n", range(17, 25))
+@pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
+def test_packed_rows_match_the_syndromes_past_16(n, mode):
+    # from n = 17 a count (c mod 9) + lc reaches 18, past one subtraction of 9
+    radices = code._radices(n, mode)
+    _, r1, r2, r3 = radices
+    t = n - n // 2
+    heads = 1 << n // 2
+    wanted = sorted({0, heads - 1, *random.Random(n).sample(range(heads), 3)})
+    sweep = code._split_keys(n, radices)
+    done = 0
+    for hi in wanted:
+        base, keys = next(islice(sweep, hi - done, None))
+        done = hi + 1
+        assert base == hi << t
+        for v, key in zip(range(base, base + (1 << t)), keys, strict=True):
+            if mode == MODE_BUCKET:
+                assert key == syndrome_tuple(Word.from_int(v, n)).pack(), (n, v)
+            else:
+                s0, s1, s2, c = padded_weight_sums(v, n)
+                assert key == ((s0 * r1 + s1) * r2 + s2) * r3 + c, (n, v)
+
+
 def test_the_exhaustive_range_reaches_a_sum_equal_to_its_modulus():
     # The packed rows subtract q_k where l >= q_k - a; unless some word has
     # a + l == q_k exactly, a '>' there would pass the test above.
@@ -220,6 +249,30 @@ def test_census_selection_matches_a_full_sort():
     assert census.largest() == ranked[0]
     with pytest.raises(ValueError, match="at least 0"):
         census.top(-1)
+
+
+def test_census_selection_past_255_words_a_class_matches_a_full_sort():
+    # sizes that do not fit a byte take the sort over every class
+    census = Census(7, {40: 300, 7: 1, 12: 256, 99: 2, 3: 300, 51: 255})
+    ranked = sorted(census.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert [(st.pack(), count) for st, count in census.top(4)] == ranked[:4]
+    assert census.largest() == (SyndromeTuple.unpack(3, 7), 300)
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_census_selection_matches_a_full_sort_of_the_oracle(n):
+    counts = oracles.census_counts(n)
+    ranked = [
+        (SyndromeTuple.unpack(key, n), count)
+        for key, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ]
+    shared = sum(count > 1 for count in counts.values())
+    census = bucket_census(n)
+    # the oracle's dict holds the classes in another order than the sweep's
+    for each in (census, Census(n, counts)):
+        for k in (0, 1, 5, shared, shared + 1, len(counts), len(counts) + 3):
+            assert each.top(k) == ranked[:k], (n, k)
+        assert each.largest() == ranked[0]
 
 
 def test_pigeonhole_floor_holds():
