@@ -34,15 +34,20 @@ most n+1 and sum k is below (n+1) * (n+2)^(k+1), so every reduction is the
 identity and the key holds the unreduced sums.
 
 The sweep works on whole tail rows, each packed into one integer with one
-fixed-width field per tail (SIMD within a register, Lamport 1975).  Once per
-sweep each tail's scaled, reduced terms l_j are read off one table per
-component over the t + 1 bit tail masks, which doubling over the mask bits
-builds as ``syndrome`` builds its byte tables, and packed into one integer
-per component and last head bit.  The four components make one row sum for
-each head count c = 0..h (c fixes the head's last bit: it is odd iff that
-bit is 1), its count field (c + lc) % r3 reduced as the heads reduce theirs
-below.  A head's scaled, reduced terms a_j then give the keys of all 2^t
-of its words by a dozen big-integer operations: for reduced a and l,
+fixed-width field per tail (SIMD within a register, Lamport 1975).  What
+depends only on n and the radices is a plan, built once per process and
+kept for the last few ``(n, radices)`` (``_plan``).  Its tails' scaled,
+reduced terms l_j are read off one table per component over the t + 1 bit
+tail masks, which doubling over the mask bits builds as ``syndrome`` builds
+its byte tables, and packed into one integer per component and last head
+bit.  The four components make one row sum for each head count c = 0..h
+(c fixes the head's last bit: it is odd iff that bit is 1), its count field
+(c + lc) % r3 reduced as the heads reduce theirs below.  The plan keeps
+those h + 1 rows, the overflow bounds and three head tables, not the tail
+tables: the same doubling over the h bits of a head mask gives each head's
+scaled, reduced terms a_j.  A head reads them with one popcount and three
+lookups, and gets the keys of all 2^t of its words by a dozen big-integer
+operations: for reduced a and l,
 (a + l) % q == a + l - q * [l >= q - a], so the head adds a_0 + a_1 + a_2 to
 every field of its row sum, and for each component j subtracts q_j from the
 fields where l_j >= q_j - a_j, which a subtraction marks in each field's
@@ -66,7 +71,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, islice
 from operator import neg
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .syndrome import (
     COUNT_MODULUS,
@@ -76,7 +81,6 @@ from .syndrome import (
     padded_weight_sums,
     power_sums,
     reduce_sums,
-    transition_sums,
 )
 from .words import Word
 
@@ -158,12 +162,27 @@ def _field_type(radices: tuple[int, int, int, int]) -> str:
     raise ValueError(f"keys at radices {radices} do not fit {bits}-bit fields")
 
 
-def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[int, list[int]]]:
-    """For each head, ascending, yield ``(base, keys)``: the packed value of
-    the head's first word and the packed keys of its 2^t words in ascending
-    order (see the module docstring).
-    Key = ((s0 % r0 * r1 + s1 % r1) * r2 + s2 % r2) * r3 + c % r3.
-    Raises ValueError before the first head if no field type holds the keys.
+def _doubled(weights: Iterable[int], r: int, p: int) -> list[int]:
+    """The table over the masks of ``len(weights)`` bits whose entry m is
+    the sum of ``weights[b]`` over the set bits b of m, reduced mod r and
+    scaled by p: doubling over the bits, reduced and scaled as it grows."""
+    q, table = r * p, [0]
+    for w in weights:
+        w = w % r * p
+        table += [(x + w) % q for x in table]
+    return table
+
+
+@lru_cache(maxsize=4)
+def _plan(n: int, radices: tuple[int, int, int, int]):
+    """What ``_split_keys`` needs at ``(n, radices)`` before its first head
+    (see the module docstring), kept for the last few asked for:
+    ``(typecode, size, top, ones, rows, bounds, above, heads)``, the fields'
+    ``array`` type, the bytes per packed row, a field's top bit, 1 in every
+    field, the packed row sum per head count c = 0..h, the packed overflow
+    bounds per last head bit, q_j = r_j * p_j, and per component j each
+    head mask's scaled, reduced term.  No tail table or column is kept.
+    Raises ValueError before building anything if no field type holds the keys.
     """
     from array import array  # as in _field_type
 
@@ -175,9 +194,9 @@ def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[in
     p2 = r3
     p1 = r2 * p2
     p0 = r1 * p1
-    q0, q1, q2 = r0 * p0, r1 * p1, r2 * p2
-    f0, f1, f2 = power_sums(n + 2)
-    size = bits >> 3 << t  # bytes per packed row
+    places = (p0, p1, p2)
+    fs = power_sums(n + 2)
+    size = bits >> 3 << t
     ones = (1 << (bits << t)) // ((1 << bits) - 1)  # 1 in every field
     top = bits - 1
 
@@ -186,18 +205,10 @@ def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[in
 
     # One table per component over the t + 1 bit transition masks of a tail
     # and the right pad.  Mask bit b, at position n - b of the word's n + 1
-    # bit mask, adds P_k(n + 2) - P_k(n + 1 - b) to sum k and 1 to the count,
-    # so doubling over the bits builds each table, reduced and scaled as it
-    # grows.
+    # bit mask, adds P_k(n + 2) - P_k(n + 1 - b) to sum k and 1 to the count.
     powers = map(power_sums, range(n + 1, n - t, -1))  # P_k(n + 1 - b) for b = 0..t
-    weights = [(f0 - w0, f1 - w1, f2 - w2, 1) for w0, w1, w2 in powers]
-    tables = []
-    for r, p, ws in zip(radices, (p0, p1, p2, 1), zip(*weights)):
-        q, table = r * p, [0]
-        for w in ws:
-            w = w % r * p
-            table += [(x + w) % q for x in table]
-        tables.append(table)
+    weights = zip(*[(*(f - w for f, w in zip(fs, ws)), 1) for ws in powers])
+    tables = list(map(_doubled, weights, radices, (*places, 1)))
     # Per last head bit, one packed column per component, read off the
     # tables: after a last head bit 1 the transition into the tail, mask bit
     # t, flips.
@@ -219,13 +230,31 @@ def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[in
         rows.append(b0 + b1 + b2 + b3 + a3 * ones - wraps * r3)
     # Each head reduces its terms' sums with the row in the same way.
     bounds = [(b0 + half, b1 + half, b2 + half) for b0, b1, b2, _ in columns]
-    for hi in range(1 << h):
+    # The heads' terms by the same doubling: bit b of an h-bit head mask, at
+    # position h - 1 - b, adds P_k(n + 2) - P_k(h - b) to sum k.
+    powers = map(power_sums, range(h, 0, -1))  # P_k(h - b) for b = 0..h - 1
+    weights = zip(*[[f - w for f, w in zip(fs, ws)] for ws in powers])
+    heads = tuple(map(tuple, map(_doubled, weights, radices, places)))
+    # tuples, as every sweep of the process shares them
+    above = (r0 * p0, r1 * p1, r2 * p2)
+    return typecode, size, top, ones, tuple(rows), tuple(bounds), above, heads
+
+
+def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[int, list[int]]]:
+    """For each head, ascending, yield ``(base, keys)``: the packed value of
+    the head's first word and the packed keys of its 2^t words in ascending
+    order (see the module docstring).
+    Key = ((s0 % r0 * r1 + s1 % r1) * r2 + s2 % r2) * r3 + c % r3.
+    Raises ValueError before the first head if no field type holds the keys.
+    """
+    from array import array  # as in _field_type
+
+    typecode, size, top, ones, rows, bounds, (q0, q1, q2), (h0, h1, h2) = _plan(n, radices)
+    t = n - n // 2
+    for hi in range(len(h0)):
         m = hi ^ (hi >> 1)
         c = m.bit_count()
-        a0, a1, a2 = transition_sums(m, h)
-        a0 = (c * f0 - a0) % r0 * p0
-        a1 = (c * f1 - a1) % r1 * p1
-        a2 = (c * f2 - a2) % r2 * p2
+        a0, a1, a2 = h0[m], h1[m], h2[m]
         b0, b1, b2 = bounds[c & 1]
         keys = rows[c] + (a0 + a1 + a2) * ones
         keys -= ((b0 - (q0 - a0) * ones) >> top & ones) * q0

@@ -86,9 +86,10 @@ def power_sums(x: int) -> tuple[int, int, int]:
 _FIELD_BITS = 128
 _FIELD = (1 << _FIELD_BITS) - 1
 _rows: tuple[list[int], ...] = ()  # row c: byte c of a mask from the left
-# Rows kept for later calls: masks up to 2 048 bits, about 5.0 MB.  A longer
-# mask builds its further rows for that call alone, so one long word does
-# not pin their memory (about 19.5 KB a row) for the life of the process.
+# Rows are built for masks up to 2 048 bits, about 5.0 MB, and never past
+# them, so one long word does not pin their memory (about 19.5 KB a row).  A
+# longer mask is read in blocks of 2 048 bits with these rows, each block's
+# sums shifted by the D bits before it (see ``transition_sums``).
 _KEPT_ROWS = 256
 _entry = list.__getitem__
 
@@ -109,19 +110,37 @@ def transition_sums(mask: int, length: int) -> tuple[int, int, int]:
 
     One table lookup per byte: the rows depend only on the position, so
     every length shares them, and they are built up to the longest mask
-    seen, or up to ``_KEPT_ROWS`` rows (see there).
+    seen, or up to ``_KEPT_ROWS`` rows.  Past that the mask is read in
+    blocks of ``_KEPT_ROWS`` bytes: with x = p + 1 - D counted within the
+    block, D its start and c its popcount, the block's own sums Q_k give
+
+        sum P0(x + D) = Q0 + c * D
+        sum P1(x + D) = Q1 + D * Q0 + c * P1(D)
+        sum P2(x + D) = Q2 + 2D * Q1 + D^2 * Q0 + c * P2(D)
     """
     global _rows
     chunks = (length + 7) >> 3
     rows = _rows
-    if len(rows) < chunks:
+    if len(rows) < min(chunks, _KEPT_ROWS):
         # a new tuple, never one extended in place, keeps row c at index c
         # even if two threads grow the rows at once
         kept = range(len(rows), min(chunks, _KEPT_ROWS))
         _rows = rows = rows + tuple(_row(c) for c in kept)
-        rows += tuple(_row(c) for c in range(len(rows), chunks))
-    packed = sum(map(_entry, rows, (mask << (-length & 7)).to_bytes(chunks, "big")))
-    return packed & _FIELD, packed >> _FIELD_BITS & _FIELD, packed >> 2 * _FIELD_BITS
+    data = (mask << (-length & 7)).to_bytes(chunks, "big")
+    if chunks <= _KEPT_ROWS:
+        packed = sum(map(_entry, rows, data))
+        return packed & _FIELD, packed >> _FIELD_BITS & _FIELD, packed >> 2 * _FIELD_BITS
+    s0 = s1 = s2 = 0
+    for start in range(0, chunks, _KEPT_ROWS):
+        block = data[start : start + _KEPT_ROWS]
+        packed = sum(map(_entry, rows, block))
+        q0, q1, q2 = packed & _FIELD, packed >> _FIELD_BITS & _FIELD, packed >> 2 * _FIELD_BITS
+        c = int.from_bytes(block, "big").bit_count()
+        d, e1, e2 = power_sums(8 * start)
+        s0 += q0 + c * d
+        s1 += q1 + d * q0 + c * e1
+        s2 += q2 + 2 * d * q1 + d * d * q0 + c * e2
+    return s0, s1, s2
 
 
 def padded_weight_sums(value: int, n: int) -> tuple[int, int, int, int]:

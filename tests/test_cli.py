@@ -697,6 +697,58 @@ def test_importing_the_cli_leaves_decoder_and_analysis_unloaded():
     assert "twoedit.channel" not in loaded
 
 
+def test_one_sweep_plan_per_length_and_radices():
+    # a fresh interpreter: importing the CLI builds no plan, census,
+    # best-params and verify at one n share one, and exact keys need another
+    script = (
+        "import contextlib, io, twoedit.cli as cli, twoedit.code as code\n"
+        "print(code._plan.cache_info().misses)\n"
+        "for argv in (['census', '--n', '10'], ['best-params', '--n', '10'],\n"
+        "             ['verify', '--n', '10'], ['verify', '--n', '10', '--mode', 'exact']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print(code._plan.cache_info().misses)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "1", "1", "2"]
+
+
+def test_sweeps_in_one_process_print_what_fresh_launches_print():
+    # every (n, radices) plan is built once and then shared, in any order
+    best = {}
+    for n in (12, 13):
+        p = code.best_params(n)[0]
+        best[n] = f"{p.s0},{p.s1},{p.s2},{p.s3}"
+    requests = [
+        ["census", "--n", "12", "--machine"],
+        ["verify", "--n", "13", "--mode", "exact", "--machine"],
+        ["enumerate", "--n", "13", "--params", best[13]],
+        ["verify", "--n", "12", "--mode", "exact"],
+        ["census", "--n", "13", "--top", "3"],
+        ["verify", "--n", "12", "--machine"],
+        ["enumerate", "--n", "12", "--params", best[12], "--machine"],
+        ["verify", "--n", "13"],
+        ["best-params", "--n", "12", "--machine"],
+    ]
+    script = (
+        "import sys, twoedit.cli as cli\n"
+        f"for argv in {requests!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    print('\\0', flush=True)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *mixed, rest = proc.stdout.split("\0\n")
+    assert rest == ""
+    for argv, out in zip(requests, mixed, strict=True):
+        fresh = subprocess.run([sys.executable, "-m", "twoedit.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout) == (0, out), argv
+
+
 def test_every_package_export_resolves_on_first_use():
     import twoedit
 

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 from itertools import combinations, islice, zip_longest
@@ -207,6 +208,25 @@ def test_the_field_guard_raises_past_the_longest_length_that_fits(mode, narrow, 
     # the sweep checks before it builds anything
     with pytest.raises(ValueError, match="do not fit"):
         next(code._split_keys(longest + 1, code._radices(longest + 1, mode)))
+
+
+@pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
+def test_the_sweep_plan_holds_no_per_head_integers(mode):
+    # at n = 20 one packed integer per head would take about 8 MB; the plan
+    # keeps one row per head count and small ints per head mask
+    radices = code._radices(20, mode)
+    code._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = code._plan(20, radices)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
+    assert code._plan(20, radices) is plan
+    heads = plan[-1]
+    assert [len(table) for table in heads] == [1 << 10] * 3
 
 
 @pytest.mark.parametrize("n", range(7, 13))

@@ -407,3 +407,13 @@ def test_decode_round_trip_at_1024():
         x = Word.from_int(rng.getrandbits(1024), 1024)
         received = apply_errors(x, random_pattern(rng, 1024, counts=counts))
         assert decode(received, syndrome_tuple(x)) == x, counts
+
+
+@pytest.mark.parametrize("n", (2049, 4100))
+def test_decode_round_trip_past_the_kept_rows(n):
+    # a deletion and a substitution on a word longer than the 2 048 bits
+    # that syndrome keeps rows for: every residue sum reads blocks
+    rng = random.Random(n)
+    x = Word.from_int(rng.getrandbits(n), n)
+    received = apply_errors(x, random_pattern(rng, n, counts=(0, 1, 1)))
+    assert decode(received, syndrome_tuple(x)) == x

@@ -249,6 +249,21 @@ def test_rows_are_kept_only_up_to_a_fixed_length():
         assert rows == kept if length > 8 * kept else rows <= kept, (length, rows)
 
 
+def test_masks_past_the_kept_rows_are_read_in_blocks():
+    # two and three blocks, one bit short of them, exact and one bit over,
+    # and a mask ending mid-block: no row past the kept ones is built
+    kept = syndrome._KEPT_ROWS
+    block = 8 * kept
+    rng = random.Random(block)
+    edges = [length for k in (2, 3) for length in range(k * block - 1, k * block + 2)]
+    for length in (*edges, 9001):
+        # the last bit before each block and the block's first
+        straddle = sum(3 << length - 1 - d for d in range(block, length, block))
+        for mask in (rng.getrandbits(length), (1 << length) - 1, 1, 1 << length - 1, straddle, 0):
+            assert transition_sums(mask, length) == transition_sums_loop(mask, length), length
+            assert len(syndrome._rows) == kept, length
+
+
 def test_rows_are_built_on_demand_up_to_the_longest_mask():
     # a fresh interpreter: importing the CLI builds no rows, and a shorter
     # word after a longer one builds none
