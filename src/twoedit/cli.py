@@ -7,6 +7,10 @@ Machine mode (--machine) prints one record per line as space-separated
 key=value fields; output is byte-identical for identical configurations,
 including across worker counts.  Inside a value "%" is written "%25" and a
 space "%20", so a field never contains a space.
+
+A request is parsed in one argparse pass: its command words (``analyze``
+and its action are two) pick the parser that reads the rest of argv, with
+the result, help and usage errors of ``build_parser().parse_args``.
 """
 
 from __future__ import annotations
@@ -474,8 +478,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction | None:
+    """The subcommand action of ``parser``, or None for a leaf parser."""
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass: the command words'
+    own parser reads the rest into a namespace holding the words, as that
+    call's top-level pass leaves it, and the top-level parser reports what
+    is left over.  An ``argv`` that starts with no command word (help, no
+    command, an unknown one) goes to that call itself."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    top = parser = build_parser()
+    words = argparse.Namespace()
+    rest = 0
+    while rest < len(argv) and (subs := _subcommands(parser)) and argv[rest] in subs.choices:
+        setattr(words, subs.dest, argv[rest])
+        parser = subs.choices[argv[rest]]
+        rest += 1
+    if parser is top:
+        return top.parse_args(argv)
+    args, extras = parser.parse_known_args(argv[rest:], words)
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.handler(args)
     except code.ResourceCapError as exc:

@@ -20,6 +20,7 @@ from twoedit.cli import (
     EXIT_VIOLATION,
     MAX_SEPARATION,
     _integer,
+    _parse_args,
     build_parser,
     main,
 )
@@ -683,6 +684,98 @@ def test_reusing_the_parser_is_safe(capsys, monkeypatch):
     assert run_cli(capsys, "analyze", "sigma", "--vector", "1,2")[:2] == (EXIT_OK, "1\n")
     status, out, _ = run_cli(capsys, "analyze", "sigma", "--x", "0110", "--y", "0101")
     assert status == EXIT_OK and out.startswith("profile difference ")
+
+
+# argv beyond the golden ones: option spellings, strings left over after the
+# words, no command word or an unknown one, help, a rejected choice or pair
+EDGE_ARGV = (
+    ("census", "--n=9"),
+    (*VALID_ARGV["census"], "--mach"),
+    ("syndrome", "--", "0000001"),
+    ("decode", "--he"),
+    (*VALID_ARGV["syndrome"], "--bogus"),
+    ("census", "--n", "9", "extra"),
+    ("analyze",),
+    ("analyze", "bogus"),
+    (*VALID_ARGV["analyze"], "--extra", "1"),
+    (),
+    ("bogus",),
+    ("-h",),
+    ("decode", "-h"),
+    ("--", "decode"),
+    ("verify", "--n", "8", "--mode", "bogus"),
+    ("corrupt", "--random", "--pattern", "del@1", "0000001"),
+    # a prefix of a command word names no command
+    ("dec", "--n", "11", "--params", "8,10,2434,8", "0111011010"),
+    ("analyze", "class", "--x", "0001011", "--y", "0110001"),
+)
+PARSED_ARGV = [case["argv"] for case in GOLDEN] + [list(argv) for argv in EDGE_ARGV]
+
+
+def parse_outcome(parse, argv, capsys):
+    """What ``parse`` makes of ``argv``: the namespace's fields, or the exit
+    code and what was printed on the way out."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [*PARSED_ARGV, VALID_ARGV["decode"]], ids=repr)
+def test_one_pass_parses_as_the_two_pass_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    wanted = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert parse_outcome(_parse_args, argv, capsys) == wanted
+
+
+def test_one_pass_reads_the_process_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["twoedit", *VALID_ARGV["analyze sigma"]])
+    assert parse_outcome(_parse_args, None, capsys) == vars(build_parser().parse_args(None))
+
+
+def subparser(parser: argparse.ArgumentParser, path: tuple[str, ...]):
+    """The parser the command words ``path`` name under ``parser``."""
+    for word in path:
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subs.choices[word]
+    return parser
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The parser of each ``parse_known_args`` call, in call order."""
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return parsers
+
+
+@pytest.mark.parametrize("path", list(leaf_commands(build_parser())), ids=" ".join)
+def test_a_request_is_parsed_once_by_its_own_parser(path, parses, capsys):
+    argv = next(argv for argv in VALID_ARGV.values() if argv[: len(path)] == path)
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert parses == [subparser(build_parser(), path)]
+
+
+@pytest.mark.parametrize("argv", (["--help"], [], ["bogus"]), ids=repr)
+def test_an_argv_without_a_command_word_reaches_the_top_level_parser(argv, parses, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert parses == [build_parser()]
+
+
+def test_a_new_parser_is_walked_after_the_cache_is_cleared(parses, capsys):
+    old = subparser(build_parser(), ("decode",))
+    build_parser.cache_clear()
+    assert run_cli(capsys, *VALID_ARGV["decode"])[0] == EXIT_OK
+    assert parses == [subparser(build_parser(), ("decode",))] and parses[0] is not old
 
 
 def test_importing_the_cli_leaves_decoder_and_analysis_unloaded():
