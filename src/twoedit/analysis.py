@@ -442,16 +442,25 @@ def find_relation(
     and serves every shape, building each cell on its first read: s
     deletions a side fit 2r mismatches when row 0 of cell a = b = s is in
     reach[2r], where x still owes a = s deletions and y owes
-    b = a + i - j = s.  Raises NoRelationError if nothing fits within
+    b = a + i - j = s.  The 2r substitutions, mismatches and fills, take
+    interior U positions that are not deleted: whatever the alignment, those
+    left over number n - 2 - s - 2r, so a shape with r >= 1 fits only if
+    s + 2r <= n - 2.  Raises NoRelationError if nothing fits within
     s + r = 2."""
     if len(x) != len(y):
         raise ValueError("related words must have equal length")
+    n = len(x)
     reach = _reach_sets(x, y)
-    top = 1 << len(x)
+    top = 1 << n
     for cs, cr in _RELATION_ORDER:
-        if (s is None or cs == s) and (r is None or cr == r) and reach.cell(2 * cr, 4 * cs) & top:
-            dels_u, subs, dels_v = _reconstruct(len(x), cs, reach)
-            subs = _with_trivial_fills(subs, dels_u, 2 * cr, len(x))
+        if (
+            (s is None or cs == s)
+            and (r is None or cr == r)
+            and reach.cell(2 * cr, 4 * cs) & top
+            and (not cr or cs + 2 * cr <= n - 2)
+        ):
+            dels_u, subs, dels_v = _reconstruct(n, cs, reach)
+            subs = _with_trivial_fills(subs, dels_u, 2 * cr, n)
             return cs, cr, Alignment(tuple(dels_u), subs, tuple(dels_v))
     shape = "" if s is None and r is None else f" of shape (s={s}, r={r})"
     raise NoRelationError(
@@ -467,10 +476,7 @@ def _with_trivial_fills(subs: list[int], dels_u: list[int], wanted: int, n: int)
         raise AssertionError("reconstruction used more substitutions than allowed")
     if need:
         free = (p for p in range(2, n) if p not in dels_u and p not in subs)
-        fills = list(islice(free, need))
-        if len(fills) < need:
-            raise NoRelationError("not enough interior matches for trivial substitution fills")
-        subs = sorted(subs + fills)
+        subs = sorted(subs + list(islice(free, need)))
     return tuple(subs)
 
 

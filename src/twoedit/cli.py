@@ -273,7 +273,10 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = code.scan_pairwise_distance(args.n, args.mode, args.workers, args.enum_cap)
+    # --workers is accepted and checked, but the sweep runs in one process
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
+    report = code.scan_pairwise_distance(args.n, args.mode, args.enum_cap)
     for v in report.violations:
         _emit(
             args,

@@ -5,14 +5,14 @@ set of words whose syndrome tuple equals it.
 
 Pairwise verification collects in one sweep.  It keeps the first word of
 every class and starts a member list only when a second word arrives, since
-only classes of two or more words hold a pair to check.  The classes
-partition {0,1}^n, so those pairs are sharded over disjoint classes and the
-shard results merged associatively.  A shard lists its pairs as packed values
-and measures ``PAIR_CHUNK`` of them at a time in one pass of
-``channel.edit_distances``: each pair is one field of a big integer, and each
-of the n steps of Myers' algorithm advances every pair's DP column at once.
-The chunks keep those integers a few tens of kilobytes at any n, and only a
-pair closer than 5 is turned into ``Word``s.
+only classes of two or more words hold a pair to check.  It then lists
+those classes' pairs as packed values and measures ``PAIR_CHUNK`` of them at
+a time in one pass of ``channel.edit_distances``: each pair is one field of
+a big integer, and each of the n steps of Myers' algorithm advances every
+pair's DP column at once.  The chunks keep those integers a few tens of
+kilobytes at any n, and only a pair closer than 5 is turned into ``Word``s.
+All of it runs in one process: a pair costs well under a microsecond, so a
+pool that ships the classes to other processes loses at every length.
 
 Census, grouping and enumeration share one split-word sweep.  A word is a
 head ``hi`` of h = n // 2 bits followed by a tail ``lo`` of t = n - h bits.
@@ -63,7 +63,6 @@ raised while k classes stay at or above it, so only those are sorted.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from bisect import bisect_left
 from collections import Counter
@@ -435,10 +434,11 @@ def _shared_classes(
     ]
 
 
-def _distance_shard(args: tuple[int, list[tuple[tuple[int, ...], list[int]]]]):
+def _distance_shard(n: int, items: list[tuple[tuple[int, ...], list[int]]]):
+    """``(pairs, min_distance, violations)`` over the pairs within each of
+    the classes ``items``, the violations in the order of their pairs."""
     from .channel import edit_distances  # here, so that importing the CLI does not load it
 
-    n, items = args
     pairs = (pair for _, values in items for pair in combinations(values, 2))
     count = 0
     lows: list[int] = []
@@ -459,31 +459,10 @@ def _distance_shard(args: tuple[int, list[tuple[tuple[int, ...], list[int]]]]):
     return count, min(lows, default=None), violations
 
 
-def scan_pairwise_distance(
-    n: int, mode: str = MODE_BUCKET, workers: int = 1, cap: int | None = None
-) -> SweepReport:
-    """Check the distance >= 5 requirement in every group; worker-count
-    independent by construction (groups are split deterministically and the
-    merge is associative)."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+def scan_pairwise_distance(n: int, mode: str = MODE_BUCKET, cap: int | None = None) -> SweepReport:
+    """Check the distance >= 5 requirement in every group, in one process."""
     groups, items = _shared_classes(n, mode, cap)
-    if workers == 1 or len(items) < 2:
-        shards = [_distance_shard((n, items))]
-    else:
-        chunk = (len(items) + workers - 1) // workers
-        tasks = [(n, items[i : i + chunk]) for i in range(0, len(items), chunk)]
-        import multiprocessing  # here, so that importing the CLI does not load it
-
-        # the shards stay as `workers` asks, so the output does not depend on
-        # how many of them run at once
-        with multiprocessing.Pool(min(len(tasks), os.cpu_count() or 1)) as pool:
-            shards = pool.map(_distance_shard, tasks)
-    pairs = sum(s[0] for s in shards)
-    mins = [s[1] for s in shards if s[1] is not None]
-    violations: list[DistanceViolation] = []
-    for s in shards:
-        violations.extend(s[2])
+    pairs, min_distance, violations = _distance_shard(n, items)
     violations.sort(key=lambda v: (v.x.value, v.y.value))
     return SweepReport(
         n=n,
@@ -491,6 +470,6 @@ def scan_pairwise_distance(
         words=1 << n,
         groups=groups,
         pairs=pairs,
-        min_distance=min(mins) if mins else None,
+        min_distance=min_distance,
         violations=tuple(violations),
     )

@@ -854,8 +854,8 @@ def _with_trivial_fills(ops: list[tuple], wanted: int, n: int) -> list[tuple]:
             else:
                 out.append(op)
         ops = out
-    if need:
-        raise NoRelationError("not enough interior matches for trivial substitution fills")
+    if need:  # find_relation_per_shape skips the shapes short of matches
+        raise AssertionError("not enough interior matches for trivial substitution fills")
     return ops
 
 
@@ -864,13 +864,17 @@ def find_relation_per_shape(
 ) -> tuple[int, int, Alignment]:
     """``analysis.find_relation`` by one search per shape: the identity
     matching for s = 0, and a full (n+1)^2 (s+1) cost table for each s >= 1,
-    cached for the call."""
+    cached for the call.  A shape with r >= 1 needs s + 2r <= n - 2: its
+    deletions and substitutions, fills included, take distinct interior U
+    positions."""
     if len(x) != len(y):
         raise ValueError("related words must have equal length")
     candidates = [
         (cs, cr)
         for cs, cr in _RELATION_ORDER
-        if (s is None or cs == s) and (r is None or cr == r)
+        if (s is None or cs == s)
+        and (r is None or cr == r)
+        and (not cr or cs + 2 * cr <= len(x) - 2)
     ]
     tables: dict[int, list] = {}
     for cs, cr in candidates:

@@ -452,6 +452,26 @@ def test_find_relation_shapes():
         find_relation(Word("01"), Word("011"))
 
 
+def test_find_relation_skips_shapes_without_room_for_their_fills():
+    # x and y differ at each of the n - 2 interior positions, an odd number:
+    # s = 0 needs 2r >= n - 1 substitutions, one more than the interior
+    # holds, so the search goes on to shapes with a deletion a side
+    assert find_relation(Word("000"), Word("010"))[:2] == (1, 0)
+    assert find_relation(Word("00000"), Word("01110"))[:2] == (1, 1)
+    for n in (3, 5):
+        interior = ((1 << (n - 2)) - 1) << 1
+        for a in range(1 << n):
+            x, y = Word.from_int(a, n), Word.from_int(a ^ interior, n)
+            s, r, alignment = find_relation(x, y)
+            assert s == 1 and (s, r, alignment) == oracles.find_relation_per_shape(x, y)
+            check_alignment(x, y, alignment)
+            for shape in analysis._RELATION_ORDER[: analysis._RELATION_ORDER.index((s, r))]:
+                with pytest.raises(NoRelationError, match="no relation of shape"):
+                    find_relation(x, y, *shape)
+            if not (x.value | y.value) & (1 | 1 << (n - 1)):  # a padded pair
+                _full_invariants(x[1:-1], y[1:-1])
+
+
 def _relation_outcomes(search, x, y):
     """(s, r, alignment), or the exception type and message, under the
     default shape and each pinned one."""

@@ -38,12 +38,16 @@ def words_of(n):
 def test_pattern_validation():
     with pytest.raises(ValueError):
         ErrorPattern(substitutions=((1, 0), (1, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate deletion"):
         ErrorPattern(deletions=(2, 2))
     with pytest.raises(ValueError):
         ErrorPattern(substitutions=((2, 0),), deletions=(2,))
     with pytest.raises(ValueError):
         ErrorPattern(substitutions=((1, 7),))
+    with pytest.raises(ValueError, match="invalid insertion symbol"):
+        ErrorPattern(insertions=((0, 2),))
+    with pytest.raises(ValueError, match="unknown edit kind 'swap'"):
+        parse_pattern("swap@1=0")
     with pytest.raises(ValueError):
         apply_errors(Word("101"), ErrorPattern(deletions=(4,)))
     with pytest.raises(ValueError):

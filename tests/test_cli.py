@@ -2,7 +2,6 @@ import argparse
 import gc
 import importlib
 import json
-import multiprocessing
 import os
 import re
 import shlex
@@ -24,7 +23,6 @@ from twoedit.cli import (
     build_parser,
     main,
 )
-from test_code import SerialPool
 
 ROOT = Path(__file__).resolve().parents[1]
 # (argv, env) -> (exit, stdout, stderr) for every subcommand in both modes,
@@ -633,9 +631,7 @@ def readme_commands() -> list[list[str]]:
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
-def test_readme_examples_succeed(argv, capsys, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
+def test_readme_examples_succeed(argv, capsys):
     status, out, _ = run_cli(capsys, *argv)
     assert status == EXIT_OK and out
 
@@ -788,6 +784,26 @@ def test_importing_the_cli_leaves_decoder_and_analysis_unloaded():
     assert "twoedit.cli" in loaded
     assert "twoedit.decoder" not in loaded and "twoedit.analysis" not in loaded
     assert "twoedit.channel" not in loaded
+
+
+def test_verify_starts_no_pool():
+    # a fresh interpreter, so that nothing else has loaded multiprocessing;
+    # n = 11 has 8 shared classes, enough for two workers to split
+    script = (
+        "import contextlib, io, json, sys, twoedit.cli as cli\n"
+        "outs = []\n"
+        "for workers in ('2', '1'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        status = cli.main(['verify', '--n', '11', '--workers', workers, '--machine'])\n"
+        "    outs.append((status, out.getvalue()))\n"
+        "print(json.dumps(['multiprocessing' in sys.modules, outs]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, (two, one) = json.loads(proc.stdout)
+    assert not loaded
+    assert two == one and one[0] == EXIT_OK and "groups=" in one[1]
 
 
 def test_one_sweep_plan_per_length_and_radices():

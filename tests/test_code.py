@@ -1,6 +1,4 @@
 import math
-import multiprocessing
-import os
 import random
 import tracemalloc
 from array import array
@@ -361,53 +359,10 @@ def test_enumeration_cap_holds_on_a_cache_hit():
         enumerate_codewords(params, cap=8)
 
 
-class SerialPool:
-    """Stands in for ``multiprocessing.Pool``: maps in this process and
-    records the process count asked for."""
-
-    sizes: list[int] = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return [fn(t) for t in tasks]
-
-
-def test_sweep_pool_has_one_process_per_shard(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # enough cores for every shard
-    # n=11 has 8 groups with two or more words: 5 workers get 4 shards of 2
-    assert scan_pairwise_distance(11, workers=5) == scan_pairwise_distance(11)
-    assert SerialPool.sizes == [4]
-
-
-def test_sweep_pool_is_capped_at_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
-    # n=11 has 8 shared classes: 10 000 workers get 8 shards of 1
-    assert scan_pairwise_distance(11, workers=10_000) == scan_pairwise_distance(11)
-    assert len(SerialPool.sizes) == 1 and SerialPool.sizes[0] <= os.cpu_count()
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert scan_pairwise_distance(11, workers=10_000) == scan_pairwise_distance(11)
-    assert SerialPool.sizes[1:] == [3]
-
-
 @pytest.mark.parametrize("n", range(7, 15))
 @pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
-def test_sweep_matches_the_oracle_scan(monkeypatch, n, mode):
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
-    reference = oracles.scan_pairwise_distance(n, mode)
-    for workers in (1, 2, 3):
-        assert scan_pairwise_distance(n, mode, workers=workers) == reference
+def test_sweep_matches_the_oracle_scan(n, mode):
+    assert scan_pairwise_distance(n, mode) == oracles.scan_pairwise_distance(n, mode)
 
 
 @pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
@@ -420,16 +375,10 @@ def test_distance_sweeps_pass(mode):
             assert report.min_distance >= 5
 
 
-def test_sweep_worker_count_does_not_matter():
-    a = scan_pairwise_distance(11, MODE_BUCKET, workers=1)
-    b = scan_pairwise_distance(11, MODE_BUCKET, workers=3)
-    assert a == b
-
-
 def test_sweep_violation_reporting_machinery():
     # synthetic group of close words exercises the witness path
     pairs, min_distance, violations = _distance_shard(
-        (7, [((0, 0, 0, 0), [0b0000000, 0b0000001, 0b1111111])])
+        7, [((0, 0, 0, 0), [0b0000000, 0b0000001, 0b1111111])]
     )
     assert pairs == 3
     assert min_distance == 1
@@ -453,7 +402,7 @@ def test_a_shard_of_one_chunk_plus_one_pair_matches_the_dp():
             x, y = Word.from_int(a, 16), Word.from_int(b, 16)
             expected.append((x, y, oracles.edit_distance_dp(x, y), key))
     assert len(expected) == PAIR_CHUNK + 1
-    pairs, min_distance, violations = _distance_shard((16, items))
+    pairs, min_distance, violations = _distance_shard(16, items)
     assert (pairs, min_distance) == (PAIR_CHUNK + 1, 1)
     assert violations == [DistanceViolation(*e) for e in expected if e[2] <= 4]
     assert violations[-1] == DistanceViolation(*expected[-1])

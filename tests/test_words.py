@@ -29,6 +29,9 @@ def test_word_construction_and_rendering():
     assert Word("110")[0] == 1 and Word("110")[2] == 0
     assert Word("110")[-1] == 0
     assert Word("01101")[1:4] == Word("110")
+    assert Word("01101")[3:1] == Word("") == Word("01101")[5:]
+    assert Word(Word("0110")) == Word("0110")
+    assert repr(Word("0110")) == "Word('0110')" and repr(Word("")) == "Word('')"
 
 
 def test_word_rejects_garbage():
@@ -43,6 +46,13 @@ def test_word_rejects_garbage():
         Word([0, 2])
     with pytest.raises(ValueError):
         Word.from_int(4, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        Word.from_int(0, -1)
+    with pytest.raises(ValueError, match="contiguous"):
+        Word("0110")[::2]
+    for index in (4, -5):
+        with pytest.raises(IndexError):
+            Word("0110")[index]
 
 
 def test_word_ordering_is_lexicographic_on_equal_lengths():
