@@ -24,9 +24,12 @@ rewrites T near k and shifts the bits above it, so its change is read off
 - A flip that keeps the count moves one transition by one place: s0 moves by
   +-1 wherever it applies, but s1 moves by +-(n + 1 - k), which fixes k.
 
-Every placed word still gets the full residue check, so a wrong placement
-could only lose a candidate, never admit a wrong one.  Verified parameters
-guarantee at most one survivor.
+``candidate_preimages`` is one flat loop: per first-edit length it builds
+the position masks for s0 once; per first-edit word it takes s0 inline,
+solves each family in place (a binary search, a division, or the s1 step)
+and adds each placed word straight to the set.  Every placed word still gets
+the full residue check, so a wrong placement could only lose a candidate,
+never admit a wrong one.  Verified parameters allow at most one survivor.
 """
 
 from __future__ import annotations
@@ -142,40 +145,6 @@ def _position_masks(width: int) -> tuple[int, ...]:
     )
 
 
-def _first_moment(t: int) -> int:
-    """The sum of b + 1 over the set bits b of ``t``: popcount(t) plus, for
-    each bit i of a position, 2^i times the set bits whose position has it."""
-    s = t.bit_count()
-    for i, mask in enumerate(_position_masks((t.bit_length() - 1).bit_length())):
-        s += (t & mask).bit_count() << i
-    return s
-
-
-def _positions(t: int, size: int, slope: int, offset: int, shift: int, target: int) -> list[int]:
-    """The k < ``size`` with slope * k + offset + A_{k+shift} == ``target``
-    that a family can use, A_j being popcount(t >> j).
-
-    The sum is strictly increasing in k for slope 2 and non-increasing for
-    slope 0, so a binary search finds the lowest k that reaches ``target``.
-    Only it and the next k matter.  A slope-2 solution is unique.  Where a
-    slope-0 sum stays at ``target`` from lo to some k', T is clear from bit
-    lo + shift to bit k' + shift - 1, so a family applies there only at lo,
-    or (copies, and deletions where T_{k+1} = 0) at each k of one run from
-    lo or lo + 1 on, and every k of a run gives the same word.
-    """
-    lo, hi = 0, size
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        g = slope * mid + offset + (t >> (mid + shift)).bit_count()
-        if g >= target if slope else g <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return [
-        k for k in (lo, lo + 1) if slope * k + offset + (t >> (k + shift)).bit_count() == target
-    ]
-
-
 def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
     """Packed values of the length-n words within two edits of ``received``
     that the placement by s3, s0 and s1 keeps (see the module docstring).
@@ -191,29 +160,56 @@ def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
             f"received length {m} outside [{n - MAX_EDITS}, {n + MAX_EDITS}]"
         )
     m0, m1_mod, _, _ = moduli(n)
+    s0, s1, s3 = p.s0, p.s1, p.s3
     out: set[int] = set()
+    add = out.add
     for m1 in range(max(m, n) - 1, min(m, n) + 2):
         extra, by_count = _KINDS[m1 - n + 1]
         size = m1 + extra
+        # s0 = popcount(T) plus 2^i times the set bits of T (bits 0..m1) whose position has bit i
+        weights = tuple(enumerate(_position_masks(m1.bit_length())))
         # a run of equal bits gives the same deletion, so dedupe before expanding
         for v1 in set(_single_edits(v, m, m1)):
             t = v1 ^ (v1 << 1)
-            families = by_count.get((p.s3 - t.bit_count()) % COUNT_MODULUS)
+            count = t.bit_count()
+            families = by_count.get((s3 - count) % COUNT_MODULUS)
             if families is None:
                 continue
-            d0 = p.s0 - _first_moment(t)
+            d0 = s0 - count
+            for i, mask in weights:
+                d0 -= (t & mask).bit_count() << i
             for build, mask, bits, _, sign, slope, offset, shift in families:
-                target = sign * d0 % m0
-                if shift is not None:
-                    ks = _positions(t, size, slope, offset, shift, target)
-                elif slope:  # a flip changing the count
-                    k, rest = divmod(target - offset, slope)
-                    ks = () if rest else (k,)
-                elif target == offset:  # a flip keeping it: s1 moves by sign * (n + 1 - k)
-                    ks = (n + 1 - sign * (p.s1 - padded_weight_sums(v1, n)[1]) % m1_mod,)
-                else:
+                goal = sign * d0 % m0 - offset
+                if shift is None:  # a flip: slope * k == goal
+                    k, rest = divmod(goal, slope) if slope else (0, goal)
+                    if not (slope or rest):  # it keeps the count: s1 moves by sign * (n + 1 - k)
+                        k = n + 1 - sign * (s1 - padded_weight_sums(v1, n)[1]) % m1_mod
+                    if not rest and 0 <= k < size and t >> k & mask == bits:
+                        add(build(v1, t, k))
                     continue
-                out.update(build(v1, t, k) for k in ks if 0 <= k < size and t >> k & mask == bits)
+                # the lowest k where slope * k + A_{k+shift} reaches goal: the
+                # sum rises strictly for slope 2 and never rises for slope 0
+                lo, hi = 0, size
+                if slope:
+                    while lo < hi:
+                        mid = (lo + hi) >> 1
+                        if slope * mid + (t >> (mid + shift)).bit_count() >= goal:
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                else:
+                    while lo < hi:
+                        mid = (lo + hi) >> 1
+                        if (t >> (mid + shift)).bit_count() <= goal:
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                # a slope-0 sum stays at goal over a run of clear T bits, where a family
+                # applies only at lo, or from lo or lo + 1 on, giving one word
+                for k in (lo, lo + 1):
+                    if k < size and slope * k + (t >> (k + shift)).bit_count() == goal:
+                        if t >> k & mask == bits:
+                            add(build(v1, t, k))
     return out
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from twoedit import analysis, code
+from twoedit import analysis, code, decoder
 from twoedit.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -23,6 +23,8 @@ from twoedit.cli import (
     build_parser,
     main,
 )
+from twoedit.syndrome import SyndromeTuple
+from twoedit.words import Word
 
 ROOT = Path(__file__).resolve().parents[1]
 # (argv, env) -> (exit, stdout, stderr) for every subcommand in both modes,
@@ -434,6 +436,22 @@ def test_decode_batch_continues_past_a_bad_length(capsys):
         "record=decode-failure received=0101 kind=length n=11 k1=8 k2=10 k3=2434 k4=8",
         "record=decode received=0111011010 word=01011011010",
     ]
+
+
+def test_decode_batch_continues_past_an_ambiguous_word(capsys, monkeypatch):
+    # the paper's moduli never leave two survivors, so accept every candidate;
+    # each word has at least three
+    monkeypatch.setattr(decoder, "member_value", lambda v, p: True)
+    words = ("0001010011", "000010101010")
+    with pytest.raises(decoder.AmbiguousDecodeError):
+        decoder.decode(Word(words[0]), SyndromeTuple(11, 8, 10, 2434, 8))
+    args = ("decode", "--n", "11", "--params", "8,10,2434,8", "--machine")
+    status, out, _ = run_cli(capsys, *args, *words)
+    assert status == EXIT_VIOLATION
+    assert out.splitlines() == [
+        f"record=decode-failure received={w} kind=ambiguous{FIELDS_11}" for w in words
+    ]
+    assert record_types(out) == {"decode-failure"}
 
 
 # per command: the argv of a batch, its failure record, the field naming the

@@ -417,3 +417,31 @@ def test_decode_round_trip_past_the_kept_rows(n):
     x = Word.from_int(rng.getrandbits(n), n)
     received = apply_errors(x, random_pattern(rng, n, counts=(0, 1, 1)))
     assert decode(received, syndrome_tuple(x)) == x
+
+
+@pytest.mark.parametrize("n", (*range(12, 21), 31, 32, 33))
+def test_placement_matches_the_path_oracle_at_the_decode_workload_lengths(n):
+    # seeded words at every received length n - 2..n + 2: n = 12..20 as in
+    # the benchmark's decode requests, and n = 15..17 and 31..33, where a
+    # first-edit length crosses a power of two and the s0 masks widen.  Per
+    # word: the residues of a random x (half the words are x after edits), of
+    # paths' end words (so the placement has words to find), and random ones
+    rng = random.Random(3000 + n)
+    m0, _, m2, _ = moduli(n)
+    for m in range(n - 2, n + 3):
+        kinds = [c for c in EDIT_KINDS if c[0] - c[1] == m - n]
+        for i in range(4):
+            x = Word.from_int(rng.getrandbits(n), n)
+            if i % 2:
+                received = Word.from_int(rng.getrandbits(m), m)
+            else:
+                received = apply_errors(x, random_pattern(rng, n, counts=rng.choice(kinds)))
+            paths = second_edit_sums(received, n)
+            ends = [syndrome_tuple(Word.from_int(c, n)) for c, _, _ in rng.sample(paths, 6)]
+            for r in [syndrome_tuple(x), *ends]:
+                assert candidate_preimages(received, r) == placed_preimages(paths, r), (received, r)
+            for _ in range(3):
+                s3, s0 = rng.randrange(9), rng.randrange(m0)
+                s1 = _s1_to_place(rng, paths, s3, s0, n)
+                r = SyndromeTuple(n, s0, s1, rng.randrange(m2), s3)
+                assert candidate_preimages(received, r) == placed_preimages(paths, r), (received, r)
