@@ -68,10 +68,10 @@ patterns and reports.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import lt
+from typing import NamedTuple
 
 from .words import Word, pad
 
@@ -94,23 +94,31 @@ class NoRelationError(ValueError):
     """No deletion/substitution relation within the supported budget."""
 
 
-@dataclass(frozen=True)
-class ErrorTypeValue:
-    """One classified error: its kind, value, and own-sequence position."""
-
+# A NamedTuple may not define __new__, so the subclass ErrorTypeValue checks the fields.
+class _ErrorTypeFields(NamedTuple):
     kind: str
     value: int
     position: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in _VALUE_SETS:
-            raise ValueError(f"unknown error kind {self.kind!r}")
-        if self.value not in _VALUE_SETS[self.kind]:
-            raise ValueError(f"value {self.value} invalid for kind {self.kind}")
+
+class ErrorTypeValue(_ErrorTypeFields):
+    """One classified error: its kind, value, and own-sequence position."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, value: int, position: int) -> "ErrorTypeValue":
+        if kind not in _VALUE_SETS:
+            raise ValueError(f"unknown error kind {kind!r}")
+        if value not in _VALUE_SETS[kind]:
+            raise ValueError(f"value {value} invalid for kind {kind}")
+        return tuple.__new__(cls, (kind, value, position))
+
+    @classmethod
+    def _make(cls, iterable) -> "ErrorTypeValue":
+        return cls(*iterable)  # the checks above, for ``_replace`` too
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """Monotone matching between two equal-length words U and V, given by its
     error positions, each tuple strictly ascending: ``dels_u`` and ``dels_v``
     are the deleted positions of U and of V, and ``subs`` the U positions of
@@ -483,8 +491,7 @@ def _with_trivial_fills(subs: list[int], dels_u: list[int], wanted: int, n: int)
 # --- full separation pipeline ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SegmentationRound:
+class SegmentationRound(NamedTuple):
     x_before: Word
     y_before: Word
     cut: tuple[int, int]
@@ -493,8 +500,7 @@ class SegmentationRound:
     y_after: Word
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(NamedTuple):
     """Outcome of pulling the errors of a word pair at least k apart."""
 
     u: Word

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .syndrome import MAX_EDITS  # the channel's budget
 from .words import Word
 
 
-@dataclass(frozen=True)
-class ErrorPattern:
+# A NamedTuple may not define __new__, so the subclass ErrorPattern checks the fields.
+class _PatternFields(NamedTuple):
+    substitutions: tuple[tuple[int, int], ...] = ()
+    deletions: tuple[int, ...] = ()
+    insertions: tuple[tuple[int, int], ...] = ()
+
+
+class ErrorPattern(_PatternFields):
     """A concrete set of edits against a word of known length.
 
     substitutions: (position, new symbol) pairs; writing the original symbol
@@ -27,17 +32,17 @@ class ErrorPattern:
     list order.
     """
 
-    substitutions: tuple[tuple[int, int], ...] = ()
-    deletions: tuple[int, ...] = ()
-    insertions: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        subs = tuple(sorted(self.substitutions))
-        dels = tuple(sorted(self.deletions))
-        ins = tuple(sorted(self.insertions, key=lambda e: e[0]))
-        object.__setattr__(self, "substitutions", subs)
-        object.__setattr__(self, "deletions", dels)
-        object.__setattr__(self, "insertions", ins)
+    def __new__(
+        cls,
+        substitutions: tuple[tuple[int, int], ...] = (),
+        deletions: tuple[int, ...] = (),
+        insertions: tuple[tuple[int, int], ...] = (),
+    ) -> "ErrorPattern":
+        subs = tuple(sorted(substitutions))
+        dels = tuple(sorted(deletions))
+        ins = tuple(sorted(insertions, key=lambda e: e[0]))
         sub_positions = [p for p, _ in subs]
         if len(set(sub_positions)) != len(sub_positions):
             raise ValueError("duplicate substitution positions")
@@ -51,6 +56,11 @@ class ErrorPattern:
         for _, sym in ins:
             if sym not in (0, 1):
                 raise ValueError(f"invalid insertion symbol {sym!r}")
+        return tuple.__new__(cls, (subs, dels, ins))
+
+    @classmethod
+    def _make(cls, iterable) -> "ErrorPattern":
+        return cls(*iterable)  # the checks above, for ``_replace`` too
 
     @property
     def counts(self) -> tuple[int, int, int]:

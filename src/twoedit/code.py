@@ -66,11 +66,10 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, islice
 from operator import neg
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .syndrome import (
     COUNT_MODULUS,
@@ -262,8 +261,7 @@ def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[in
         yield hi << t, array(typecode, keys.to_bytes(size, sys.byteorder)).tolist()
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Occupied syndrome classes of {0,1}^n with their sizes."""
 
     n: int
@@ -373,16 +371,14 @@ MODE_EXACT = "exact"
 PAIR_CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class DistanceViolation:
+class DistanceViolation(NamedTuple):
     x: Word
     y: Word
     distance: int
     key: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     n: int
     mode: str
     words: int

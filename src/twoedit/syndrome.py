@@ -18,8 +18,7 @@ lookup per byte of its transition mask, a popcount and three multiply-subtracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .words import Word
 
@@ -33,24 +32,31 @@ def moduli(n: int) -> tuple[int, int, int, int]:
     return (4 * n, 2 * n * n, 2 * n * n * n, COUNT_MODULUS)
 
 
-@dataclass(frozen=True)
-class SyndromeTuple:
-    """The four residues identifying one syndrome class at length ``n``."""
-
+# A NamedTuple may not define __new__, so the subclass SyndromeTuple checks the fields.
+class _SyndromeFields(NamedTuple):
     n: int
     s0: int
     s1: int
     s2: int
     s3: int
 
-    def __post_init__(self) -> None:
-        if self.n < MIN_CODE_LENGTH:
-            raise ValueError(f"length must be at least {MIN_CODE_LENGTH}, got {self.n}")
-        for value, modulus, name in zip(
-            (self.s0, self.s1, self.s2, self.s3), moduli(self.n), ("s0", "s1", "s2", "s3")
-        ):
+
+class SyndromeTuple(_SyndromeFields):
+    """The four residues identifying one syndrome class at length ``n``."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, s0: int, s1: int, s2: int, s3: int) -> "SyndromeTuple":
+        if n < MIN_CODE_LENGTH:
+            raise ValueError(f"length must be at least {MIN_CODE_LENGTH}, got {n}")
+        for value, modulus, name in zip((s0, s1, s2, s3), moduli(n), ("s0", "s1", "s2", "s3")):
             if not 0 <= value < modulus:
                 raise ValueError(f"{name}={value} outside [0, {modulus})")
+        return tuple.__new__(cls, (n, s0, s1, s2, s3))
+
+    @classmethod
+    def _make(cls, iterable) -> "SyndromeTuple":
+        return cls(*iterable)  # the checks above, for ``_replace`` too
 
     @property
     def moduli(self) -> tuple[int, int, int, int]:

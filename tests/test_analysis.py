@@ -540,6 +540,23 @@ def test_reach_sets_match_the_banded_table_on_padded_pairs(n):
         _assert_reach_sets_match_the_banded_table(x, y, orders)
 
 
+def test_reconstruct_raises_when_the_walk_leaves_the_reach_sets():
+    # the cells admit row 0, but the move masks the walk reads allow no move
+    x = Word("0000000")
+    reach = analysis._reach_sets(x, x)
+    assert reach.cell(0, 0) >> 7 & 1
+    reach.equal = [0] * 5
+    with pytest.raises(AssertionError, match="^alignment reconstruction lost the optimal path$"):
+        analysis._reconstruct(7, 0, reach)
+
+
+def test_find_relation_rejects_a_walk_with_too_many_substitutions(monkeypatch):
+    # the shape (s, r) = (0, 1) wants two substitutions; the walk gives three
+    monkeypatch.setattr(analysis, "_reconstruct", lambda n, s, reach: ([], [2, 3, 4], []))
+    with pytest.raises(AssertionError, match="^reconstruction used more substitutions than allowed$"):
+        find_relation(Word("00000"), Word("00010"))
+
+
 # cells built by find_relation(x, y) for each answered shape, None for no
 # relation: the union of the closures {(t, 3a + b): t <= 2r, a, b <= s} of
 # the shapes tested up to the answer, in _RELATION_ORDER

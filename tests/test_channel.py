@@ -36,16 +36,23 @@ def words_of(n):
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        ErrorPattern(substitutions=((1, 0), (1, 1)))
-    with pytest.raises(ValueError, match="duplicate deletion"):
-        ErrorPattern(deletions=(2, 2))
-    with pytest.raises(ValueError):
-        ErrorPattern(substitutions=((2, 0),), deletions=(2,))
-    with pytest.raises(ValueError):
-        ErrorPattern(substitutions=((1, 7),))
-    with pytest.raises(ValueError, match="invalid insertion symbol"):
-        ErrorPattern(insertions=((0, 2),))
+    invalid = [
+        ({"substitutions": ((1, 0), (1, 1))}, "duplicate substitution positions"),
+        ({"deletions": (2, 2)}, "duplicate deletion positions"),
+        ({"substitutions": ((2, 0),), "deletions": (2,)}, "substitution and deletion positions overlap"),
+        ({"substitutions": ((1, 7),)}, "invalid substitution symbol 7"),
+        ({"insertions": ((0, 2),)}, "invalid insertion symbol 2"),
+    ]
+    for fields, message in invalid:
+        # the constructor, _replace and _make all run the same checks
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ErrorPattern(**fields)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ErrorPattern()._replace(**fields)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ErrorPattern._make(fields.get(f, ()) for f in ErrorPattern._fields)
+    unsorted = ErrorPattern()._replace(deletions=(5, 2), insertions=((3, 1), (0, 0)))
+    assert unsorted == ErrorPattern(deletions=(2, 5), insertions=((0, 0), (3, 1)))
     with pytest.raises(ValueError, match="unknown edit kind 'swap'"):
         parse_pattern("swap@1=0")
     with pytest.raises(ValueError):

@@ -804,6 +804,23 @@ def test_importing_the_cli_leaves_decoder_and_analysis_unloaded():
     assert "twoedit.channel" not in loaded
 
 
+def test_importing_the_library_loads_neither_dataclasses_nor_inspect():
+    # compared with what the interpreter held before the imports, so that a
+    # site hook that loads either module first does not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import twoedit.cli, twoedit.analysis, twoedit.channel, twoedit.decoder\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "twoedit.decoder" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_verify_starts_no_pool():
     # a fresh interpreter, so that nothing else has loaded multiprocessing;
     # n = 11 has 8 shared classes, enough for two workers to split

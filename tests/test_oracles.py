@@ -18,7 +18,7 @@ ALLOWED = {
         "AlignmentError",
         "NoRelationError",
         "SeparationError",
-        # result dataclasses
+        # result records
         "Alignment",
         "ErrorTypeValue",
         "SegmentationRound",
