@@ -25,9 +25,9 @@ round to round and no gap left of the cut narrows again.  No position
 between the last error kept and the first one moved is deleted, so the cut
 is a few additions on the kept deletion counts.  A cut splices the filler
 into both packed words with shifts and masks, so each round's words are the
-next round's "before" words.  Only alignments from outside are checked:
-``separate_errors`` trusts the one ``find_relation`` just built, and
-``classify_separation`` the one ``separate_errors`` returns.
+next round's "before" words.  ``separate_errors`` does not check the
+alignment ``find_relation`` just built; ``classify_errors`` checks the one it
+is given, in O(#errors).
 
 Separation needs no round budget.  A pair has at most four errors, so at
 most three gaps.  Each round splices a filler of length >= 2 into the
@@ -215,12 +215,6 @@ def classify_errors(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeVal
     return _classify(u, v, alignment)
 
 
-def classify_separation(sep: Separation) -> list[ErrorTypeValue]:
-    """``classify_errors`` of a separation that ``separate_errors`` built:
-    its alignment is checked already, so it is not checked again."""
-    return _classify(sep.u, sep.v, sep.alignment)
-
-
 def _classify(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeValue]:
     dels_u, dels_v = alignment.dels_u, alignment.dels_v
     s = len(dels_u)
@@ -245,7 +239,8 @@ def _classify(u: Word, v: Word, alignment: Alignment) -> list[ErrorTypeValue]:
             e = -_DEL_GAIN[vv >> (n - p - 1) & 7]
         else:
             e = _DEL_GAIN[uv >> (n - p - 1) & 7]
-        out.append(ErrorTypeValue(_KINDS[c], e, p))
+        # kind and value come from the tables, so the record skips the checks
+        out.append(tuple.__new__(ErrorTypeValue, (_KINDS[c], e, p)))
     return out
 
 

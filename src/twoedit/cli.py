@@ -336,7 +336,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be at most {MAX_SEPARATION}, got {args.k}")
     x, y = parse_word(args.x), parse_word(args.y)
     sep = analysis.separate_errors(x, y, args.k)
-    classified = analysis.classify_separation(sep)
+    classified = analysis.classify_errors(sep.u, sep.v, sep.alignment)
     for e in classified:
         human = f"position {e.position}: {e.kind} value {e.value:+d}"
         _emit(args, "classified", human, position=e.position, kind=e.kind, value=e.value)

@@ -8,12 +8,21 @@ edit is also exactly two edits away.  The first edits are all built; the
 second is placed by the code's residues, so only words that already fit the
 padded adjacency count (s3) and the first moment (s0) are built.
 
+Both edits are one formula.  An edit at bit or gap k (k bits to its right)
+turns v into ``v ^ (w & -(1 << k)) ^ (f << k)``: w = ``v ^ (v << 1 >> i)``
+takes the bits from k up from ``v << 1`` (an insertion, i = 0), v (a flip,
+i = 1) or ``v >> 1`` (a deletion, i = 2), i being the source length minus
+the target length plus one, and f = 1 flips bit k (a flip, or an inserted
+bit made the other symbol, not a copy of its right neighbour).  Row i of
+``_KINDS`` holds the edit's positions beyond the source length, its values
+of f and its families by count residue.
+
 With T = ``v1 ^ (v1 << 1)``, bit b of T marks an unequal neighbour pair of
 ``0 v1 0``; the count is popcount(T) and s0 is the sum of b + 1 over T's set
-bits, at every length.  An edit at bit or gap k (k bits to its right)
-rewrites T near k and shifts the bits above it, so its change is read off
-(T_k, T_{k+1}) and A_j = popcount(T >> j); ``_FLIPS``, ``_DELETIONS``,
-``_COPIES`` and ``_COMPLEMENTS`` list the closed forms.
+bits, at every length.  An edit at k rewrites T near k and shifts the bits
+above it, so its change is read off (T_k, T_{k+1}) and A_j = popcount(T >> j);
+``_FLIPS``, ``_DELETIONS``, ``_COPIES`` and ``_COMPLEMENTS`` list the closed
+forms.
 
 - Count: one edit changes the count by -2, 0 or +2, which differ mod 9, so
   s3 and v1's count fix the second edit's change.
@@ -25,11 +34,12 @@ rewrites T near k and shifts the bits above it, so its change is read off
   +-1 wherever it applies, but s1 moves by +-(n + 1 - k), which fixes k.
 
 ``candidate_preimages`` is one flat loop: per first-edit length it builds
-the position masks for s0 once; per first-edit word it takes s0 inline,
-solves each family in place (a binary search, a division, or the s1 step)
-and adds each placed word straight to the set.  Every placed word still gets
-the full residue check, so a wrong placement could only lose a candidate,
-never admit a wrong one.  Verified parameters allow at most one survivor.
+the first edits in one set and the position masks for s0 once; per
+first-edit word it takes s0 inline, solves each family in place (a binary
+search, a division, or the s1 step) and adds each placed word straight to
+the set.  Every placed word still gets the full residue check, so a wrong
+placement could only lose a candidate, never admit a wrong one.  Verified
+parameters allow at most one survivor.
 """
 
 from __future__ import annotations
@@ -57,27 +67,6 @@ class ReceivedLengthError(DecodeError):
     """Received length differs from the code length by more than two."""
 
 
-def _single_edits(v: int, m: int, target: int) -> list[int]:
-    """The words of length ``target`` (m - 1, m or m + 1) one edit away from
-    the length-m word ``v``, with repeats.
-
-    ``k`` counts the bits to the right of the edited position or gap: flip
-    bit k, delete it, or insert a bit with k bits to its right.  A deletion
-    or insertion keeps v's bits below k and takes the bits from k up from
-    ``v >> 1`` or ``v << 1``: with ``w`` that word xor ``v``,
-    ``v ^ (w & -(1 << k))`` does both.  An inserted bit comes out a copy of
-    its right neighbour; flipping it gives the other symbol.
-    """
-    if target == m:
-        return [v ^ (1 << k) for k in range(m)]
-    if target == m - 1:
-        w = v ^ (v >> 1)
-        return [v ^ (w & -(1 << k)) for k in range(m)]
-    w = v ^ (v << 1)
-    copies = [v ^ (w & -(1 << k)) for k in range(m + 1)]
-    return copies + [c ^ (1 << k) for k, c in enumerate(copies)]
-
-
 # An edit family applies at k where (T >> k) & mask == bits.  There it changes
 # the count by dcount and s0 by sign * (slope * k + offset + A_{k+shift}),
 # with no A term where shift is None.  Fields: mask, bits, dcount, sign,
@@ -100,39 +89,22 @@ _COMPLEMENTS = (  # the other symbol
 )
 
 
-def _flip(v: int, t: int, k: int) -> int:
-    return v ^ (1 << k)
-
-
-def _delete(v: int, t: int, k: int) -> int:
-    return v ^ ((v ^ (v >> 1)) & -(1 << k))
-
-
-def _copy(v: int, t: int, k: int) -> int:
-    return v ^ (t & -(1 << k))
-
-
-def _complement(v: int, t: int, k: int) -> int:
-    return v ^ (t & -(1 << k)) ^ (1 << k)
-
-
 def _by_count(*kinds) -> dict[int, tuple]:
-    """(s3 - count) % 9 -> the families, each with its word builder first,
-    whose count change that residue asks for."""
+    """(s3 - count) % 9 -> the families, each with its f last, whose count
+    change that residue asks for."""
     table: dict[int, tuple] = {}
-    for build, families in kinds:
+    for f, families in kinds:
         for family in families:
             key = family[2] % COUNT_MODULUS
-            table[key] = table.get(key, ()) + ((build, *family),)
+            table[key] = table.get(key, ()) + ((*family, f),)
     return table
 
 
-# per second edit, indexed by m1 - n + 1 (an insertion, a flip, a deletion):
-# how many positions beyond m1 it has, and its families by count residue
+# rows i = 0 (an insertion), 1 (a flip), 2 (a deletion): see the module docstring
 _KINDS = (
-    (1, _by_count((_copy, _COPIES), (_complement, _COMPLEMENTS))),
-    (0, _by_count((_flip, _FLIPS))),
-    (0, _by_count((_delete, _DELETIONS))),
+    (1, (0, 1), _by_count((0, _COPIES), (1, _COMPLEMENTS))),
+    (0, (1,), _by_count((1, _FLIPS))),
+    (0, (0,), _by_count((0, _DELETIONS))),
 )
 
 
@@ -164,12 +136,15 @@ def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
     out: set[int] = set()
     add = out.add
     for m1 in range(max(m, n) - 1, min(m, n) + 2):
-        extra, by_count = _KINDS[m1 - n + 1]
+        first, second = m - m1 + 1, m1 - n + 1
+        extra1, fs, _ = _KINDS[first]
+        w = v ^ (v << 1 >> first)
+        extra, _, by_count = _KINDS[second]
         size = m1 + extra
         # s0 = popcount(T) plus 2^i times the set bits of T (bits 0..m1) whose position has bit i
         weights = tuple(enumerate(_position_masks(m1.bit_length())))
         # a run of equal bits gives the same deletion, so dedupe before expanding
-        for v1 in set(_single_edits(v, m, m1)):
+        for v1 in {v ^ (w & -(1 << k)) ^ (f << k) for f in fs for k in range(m + extra1)}:
             t = v1 ^ (v1 << 1)
             count = t.bit_count()
             families = by_count.get((s3 - count) % COUNT_MODULUS)
@@ -178,38 +153,41 @@ def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
             d0 = s0 - count
             for i, mask in weights:
                 d0 -= (t & mask).bit_count() << i
-            for build, mask, bits, _, sign, slope, offset, shift in families:
+            for mask, bits, _, sign, slope, offset, shift, f in families:
                 goal = sign * d0 % m0 - offset
                 if shift is None:  # a flip: slope * k == goal
                     k, rest = divmod(goal, slope) if slope else (0, goal)
-                    if not (slope or rest):  # it keeps the count: s1 moves by sign * (n + 1 - k)
+                    if rest:
+                        continue
+                    if not slope:  # it keeps the count: s1 moves by sign * (n + 1 - k)
                         k = n + 1 - sign * (s1 - padded_weight_sums(v1, n)[1]) % m1_mod
-                    if not rest and 0 <= k < size and t >> k & mask == bits:
-                        add(build(v1, t, k))
-                    continue
-                # the lowest k where slope * k + A_{k+shift} reaches goal: the
-                # sum rises strictly for slope 2 and never rises for slope 0
-                lo, hi = 0, size
-                if slope:
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if slope * mid + (t >> (mid + shift)).bit_count() >= goal:
-                            hi = mid
-                        else:
-                            lo = mid + 1
                 else:
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if (t >> (mid + shift)).bit_count() <= goal:
-                            hi = mid
-                        else:
-                            lo = mid + 1
-                # a slope-0 sum stays at goal over a run of clear T bits, where a family
-                # applies only at lo, or from lo or lo + 1 on, giving one word
-                for k in (lo, lo + 1):
-                    if k < size and slope * k + (t >> (k + shift)).bit_count() == goal:
-                        if t >> k & mask == bits:
-                            add(build(v1, t, k))
+                    # the lowest k where slope * k + A_{k+shift} reaches goal: the
+                    # sum rises strictly for slope 2 and never rises for slope 0
+                    lo, hi = 0, size
+                    if slope:
+                        while lo < hi:
+                            mid = (lo + hi) >> 1
+                            if slope * mid + (t >> (mid + shift)).bit_count() >= goal:
+                                hi = mid
+                            else:
+                                lo = mid + 1
+                    else:
+                        while lo < hi:
+                            mid = (lo + hi) >> 1
+                            if (t >> (mid + shift)).bit_count() <= goal:
+                                hi = mid
+                            else:
+                                lo = mid + 1
+                    # goal holds at lo + 1 only if at lo: a slope-0 run of clear T bits,
+                    # where a family applies only at lo, or from lo or lo + 1 on,
+                    # giving one word; so k is lo where the family applies there
+                    k = lo + (t >> lo & mask != bits)
+                    if slope * k + (t >> (k + shift)).bit_count() != goal:
+                        continue
+                if 0 <= k < size and t >> k & mask == bits:
+                    w1 = v1 ^ (v1 << 1 >> second)
+                    add(v1 ^ (w1 & -(1 << k)) ^ (f << k))
     return out
 
 

@@ -478,19 +478,32 @@ def candidate_preimages_ball(received: Word, n: int) -> set[Word]:
     return out
 
 
+def edited(bits: str, kind: str, k: int) -> str:
+    """``bits`` after one edit with k symbols to its right: a flip or a
+    deletion of that symbol, or an inserted copy of the right neighbour (the
+    right pad 0 at k = 0) or of the other symbol."""
+    if kind in ("flip", "delete"):
+        i = len(bits) - 1 - k
+        return bits[:i] + ("10"[int(bits[i])] if kind == "flip" else "") + bits[i + 1 :]
+    g = len(bits) - k
+    right = bits[g] if k else "0"
+    return bits[:g] + (right if kind == "copy" else "10"[int(right)]) + bits[g:]
+
+
+# the edit kinds by the length change they make
+_KINDS_BY_GROWTH = {-1: ("delete",), 0: ("flip",), 1: ("copy", "complement")}
+
+
 def single_edit_values(v: int, m: int, target: int) -> list[int]:
     """The words of length ``target`` (m - 1, m or m + 1) one edit away from
-    the length-m packed word ``v``, with repeats: the decoder's first-edit
-    builder, copied.  Bit k is flipped or deleted, or a bit inserted with k
-    bits to its right, as a copy of its right neighbour or the other symbol."""
-    if target == m:
-        return [v ^ (1 << k) for k in range(m)]
-    if target == m - 1:
-        w = v ^ (v >> 1)
-        return [v ^ (w & -(1 << k)) for k in range(m)]
-    w = v ^ (v << 1)
-    copies = [v ^ (w & -(1 << k)) for k in range(m + 1)]
-    return copies + [c ^ (1 << k) for k, c in enumerate(copies)]
+    the length-m packed word ``v``, with repeats: every position of every
+    kind, each edit made on the string by ``edited``."""
+    bits = format(v, f"0{m}b") if m else ""
+    return [
+        int(edited(bits, kind, k) or "0", 2)
+        for kind in _KINDS_BY_GROWTH[target - m]
+        for k in range(m + (target > m))
+    ]
 
 
 def preimage_values_ball(received: Word, n: int) -> set[int]:

@@ -298,16 +298,20 @@ def test_classify_errors_matches_the_oracle_on_long_pairs(n, k):
         assert sep == oracles.separate_errors_lists(x, y, k), (x, y, k)
         _replay_rounds(sep, find_relation(pad(x), pad(y))[2], k)
         args = (sep.u, sep.v, sep.alignment)
-        assert classify_errors(*args) == oracles.classify_errors(*args), (x, y, k)
-        assert analysis.classify_separation(sep) == classify_errors(*args), (x, y, k)
+        classified = classify_errors(*args)
+        assert classified == oracles.classify_errors(*args), (x, y, k)
+        # built unchecked from the tables, each is still a checked record's equal
+        assert [ErrorTypeValue(*e) for e in classified] == classified, (x, y, k)
+        assert all(type(e) is ErrorTypeValue for e in classified), (x, y, k)
 
 
-def test_classify_errors_keeps_the_check_that_classify_separation_skips():
+def test_classify_errors_checks_the_alignment_it_is_given():
     rng = random.Random(17)
     for n in (12, 24, 48):
         x, y = oracles.random_confusable_pair(rng, n)
         sep = separate_errors(x, y, 5)
-        assert analysis.classify_separation(sep) == classify_errors(sep.u, sep.v, sep.alignment)
+        args = (sep.u, sep.v, sep.alignment)
+        assert classify_errors(*args) == oracles.classify_errors(*args)
         # an outside alignment that declares no error between unequal words
         with pytest.raises(AlignmentError, match="joins unequal symbols"):
             classify_errors(sep.u, sep.v, Alignment((), (), ()))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_patterns,
     candidate_preimages_ball,
+    edited,
     error_ball,
     padded_weight_sums_loop,
     placed_preimages,
@@ -211,18 +212,6 @@ def test_decode_agrees_with_nearest_codeword_search():
 # -- placement of the second edit by the residues ------------------------------
 
 FAMILIES = {"flip": _FLIPS, "delete": _DELETIONS, "copy": _COPIES, "complement": _COMPLEMENTS}
-
-
-def edited(bits: str, kind: str, k: int) -> str:
-    """``bits`` after one edit with k symbols to its right: a flip or a
-    deletion of that symbol, or an inserted copy of the right neighbour (the
-    right pad 0 at k = 0) or of the other symbol."""
-    if kind in ("flip", "delete"):
-        i = len(bits) - 1 - k
-        return bits[:i] + ("10"[int(bits[i])] if kind == "flip" else "") + bits[i + 1 :]
-    g = len(bits) - k
-    right = bits[g] if k else "0"
-    return bits[:g] + (right if kind == "copy" else "10"[int(right)]) + bits[g:]
 
 
 def family_step(family: tuple, t: int, k: int) -> tuple[int, int]:
