@@ -1,12 +1,26 @@
 """Unique decoding of words hit by at most two total edits.
 
 Candidates are packed values (first symbol = most significant bit).  A
-length-n preimage of the received word is two edits away from it: a first
-edit onto a word ``v1`` of length m1 within one of n, then a second onto
-length n.  Fewer edits need no pass of their own, since a word within one
-edit is also exactly two edits away.  The first edits are all built; the
-second is placed by the code's residues, so only words that already fit the
-padded adjacency count (s3) and the first moment (s0) are built.
+length-n preimage of the received word (length m) is two edits away from it:
+a first edit onto a word ``v1`` of length m1, then a second onto length n.
+Edits of different kinds commute, so one order of them serves each length
+change, and two flips serve m = n:
+
+- m = n: a deletion, then an insertion (m1 = n - 1).  This also gives the
+  received word (the deleted symbol put back), a single substitution (the
+  other symbol put in its place) and a deletion and an insertion in either
+  order.  Two flips have m1 = n.
+- m = n + 1: a deletion, then a flip (m1 = n).  A single deletion is
+  another deletion and a flip, except in a constant word, where every
+  deletion gives the same word; so a first-edit word of length n that fits
+  s3 and s0 is also placed as it is.
+- m = n - 1: an insertion, then a flip (m1 = n); a single insertion is the
+  other symbol inserted and then flipped.
+- m = n +- 2: two deletions or two insertions (m1 = n +- 1).
+
+The first edits along this schedule are all built; the second is placed by
+the code's residues, so only words that already fit the padded adjacency
+count (s3) and the first moment (s0) are built.
 
 Both edits are one formula.  An edit at bit or gap k (k bits to its right)
 turns v into ``v ^ (w & -(1 << k)) ^ (f << k)``: w = ``v ^ (v << 1 >> i)``
@@ -122,9 +136,9 @@ def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
     that the placement by s3, s0 and s1 keeps (see the module docstring).
 
     Edit distance is symmetric, so the preimages are the words reachable from
-    ``received`` itself.  A first edit is kept only if its length is within
-    one of n; the second must land on length n.  The result holds every
-    codeword within two edits of ``received``.
+    ``received`` itself, along the module docstring's one edit order per
+    length change; the second edit must land on length n.  The result holds
+    every codeword within two edits of ``received``.
     """
     v, m, n = received.value, len(received), p.n
     if abs(m - n) > MAX_EDITS:
@@ -135,7 +149,7 @@ def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
     s0, s1, s3 = p.s0, p.s1, p.s3
     out: set[int] = set()
     add = out.add
-    for m1 in range(max(m, n) - 1, min(m, n) + 2):
+    for m1 in (n - 1, n) if m == n else (m + 1 if m < n else m - 1,):
         first, second = m - m1 + 1, m1 - n + 1
         extra1, fs, _ = _KINDS[first]
         w = v ^ (v << 1 >> first)
@@ -147,12 +161,15 @@ def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
         for v1 in {v ^ (w & -(1 << k)) ^ (f << k) for f in fs for k in range(m + extra1)}:
             t = v1 ^ (v1 << 1)
             count = t.bit_count()
-            families = by_count.get((s3 - count) % COUNT_MODULUS)
+            residue = (s3 - count) % COUNT_MODULUS
+            families = by_count.get(residue)
             if families is None:
                 continue
             d0 = s0 - count
             for i, mask in weights:
                 d0 -= (t & mask).bit_count() << i
+            if m1 == n and not residue and not d0 % m0:
+                add(v1)  # no second edit: a single deletion of a constant word
             for mask, bits, _, sign, slope, offset, shift, f in families:
                 goal = sign * d0 % m0 - offset
                 if shift is None:  # a flip: slope * k == goal

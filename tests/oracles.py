@@ -522,25 +522,47 @@ def preimage_values_ball(received: Word, n: int) -> set[int]:
     return out
 
 
-def second_edit_sums(received: Word, n: int) -> list[tuple[int, tuple[int, ...], bool]]:
-    """Every two-edit path from ``received`` onto length n, as the word it
-    ends on, that word's unreduced sums (s0, s1, s2, count) by the bit loop,
-    and whether its second edit is a flip that keeps the count."""
-    v, m = received.value, len(received)
+def _two_edit_paths(v: int, m: int, n: int, lengths, unedited: bool):
+    """The paths from the length-m word ``v`` through a first edit onto each
+    length of ``lengths`` and a second onto length n, as the word each ends
+    on, that word's unreduced sums (s0, s1, s2, count) by the bit loop, and
+    whether its second edit is a flip that keeps the count; with
+    ``unedited``, each first-edit word of length n is also a path's end."""
     paths = []
-    for m1 in range(max(m, n) - 1, min(m, n) + 2):
+    for m1 in lengths:
         for v1 in set(single_edit_values(v, m, m1)):
             count1 = padded_weight_sums_loop(v1, m1)[3]
+            if unedited and m1 == n:
+                paths.append((v1, padded_weight_sums_loop(v1, n), False))
             for c in set(single_edit_values(v1, m1, n)):
                 sums = padded_weight_sums_loop(c, n)
                 paths.append((c, sums, m1 == n and sums[3] == count1))
     return paths
 
 
+def second_edit_sums(received: Word, n: int) -> list[tuple[int, tuple[int, ...], bool]]:
+    """The decoder's two-edit paths from ``received`` onto length n (see
+    ``_two_edit_paths``): at received length n a deletion or a flip first, at
+    any other length one edit toward n first; a first-edit word of length n
+    is a path's end as it is, so a single deletion of a constant word, which
+    no flip after another deletion reaches, is kept."""
+    v, m = received.value, len(received)
+    lengths = (n - 1, n) if m == n else (m + (m < n) - (m > n),)
+    return _two_edit_paths(v, m, n, lengths, True)
+
+
+def all_orders_second_edit_sums(received: Word, n: int) -> list[tuple[int, tuple[int, ...], bool]]:
+    """Every two-edit path from ``received`` onto length n, along every order
+    of the two edits (first-edit lengths within one of both m and n)."""
+    v, m = received.value, len(received)
+    return _two_edit_paths(v, m, n, range(max(m, n) - 1, min(m, n) + 2), False)
+
+
 def placed_preimages(paths, residues: SyndromeTuple) -> set[int]:
-    """The words of ``second_edit_sums`` paths whose count and s0 residues
-    match ``residues``, and whose s1 residue does too where the second edit
-    is a flip that keeps the count: what the decoder's placement keeps."""
+    """The words of ``second_edit_sums`` (or all-orders) paths whose count
+    and s0 residues match ``residues``, and whose s1 residue does too where
+    the second edit is a flip that keeps the count: what the decoder's
+    placement keeps."""
     m0, m1, _, m3 = moduli(residues.n)
     return {
         c

@@ -440,11 +440,13 @@ def test_decode_batch_continues_past_a_bad_length(capsys):
 
 def test_decode_batch_continues_past_an_ambiguous_word(capsys, monkeypatch):
     # the paper's moduli never leave two survivors, so accept every candidate;
-    # each word has at least three
+    # each word has at least three placed candidates
     monkeypatch.setattr(decoder, "member_value", lambda v, p: True)
-    words = ("0001010011", "000010101010")
+    words = ("0001010101", "000010101010")
+    params = SyndromeTuple(11, 8, 10, 2434, 8)
+    assert all(len(decoder.candidate_preimages(Word(w), params)) >= 3 for w in words)
     with pytest.raises(decoder.AmbiguousDecodeError):
-        decoder.decode(Word(words[0]), SyndromeTuple(11, 8, 10, 2434, 8))
+        decoder.decode(Word(words[0]), params)
     args = ("decode", "--n", "11", "--params", "8,10,2434,8", "--machine")
     status, out, _ = run_cli(capsys, *args, *words)
     assert status == EXIT_VIOLATION

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    all_orders_second_edit_sums,
     all_patterns,
     candidate_preimages_ball,
     edited,
@@ -291,14 +292,16 @@ def _s1_to_place(rng, paths, s3, s0, n):
 def test_placement_matches_the_path_oracle_exhaustively(n, s0_sample):
     # every received length n - 2..n + 2, every received word, every s3, and
     # every s0 (a seeded sample of them at n = 8): the placed set is the
-    # two-edit ball filtered path by path by count and s0, and, after a flip
-    # that keeps the count, by s1, the sums taken by the bit loop
+    # decoder's two-edit paths filtered path by path by count and s0, and,
+    # after a flip that keeps the count, by s1, the sums taken by the bit
+    # loop; and it lies within the same filter over paths of every edit order
     rng = random.Random(n)
     m0, _, m2, _ = moduli(n)
     for m in range(n - 2, n + 3):
         for v in range(1 << m):
             received = Word.from_int(v, m)
             paths = second_edit_sums(received, n)
+            all_paths = all_orders_second_edit_sums(received, n)
             for s3 in range(9):
                 s0s = range(m0) if s0_sample is None else rng.sample(range(m0), s0_sample)
                 for s0 in s0s:
@@ -306,6 +309,7 @@ def test_placement_matches_the_path_oracle_exhaustively(n, s0_sample):
                     r = SyndromeTuple(n, s0, s1, rng.randrange(m2), s3)
                     got = candidate_preimages(received, r)
                     assert got == placed_preimages(paths, r), (received, r)
+                    assert got <= placed_preimages(all_paths, r), (received, r)
 
 
 @pytest.mark.parametrize("n, count", ((16, 30), (32, 15)))
@@ -325,14 +329,27 @@ def test_placement_lies_between_the_code_and_the_count_and_s0_ball(n, count):
             received = Word.from_int(rng.getrandbits(m), m)
         ball = preimage_values_ball(received, n)
         got = candidate_preimages(received, r)
-        paths = second_edit_sums(received, n)
-        assert got == placed_preimages(paths, r)
+        assert got == placed_preimages(second_edit_sums(received, n), r)
+        assert got <= placed_preimages(all_orders_second_edit_sums(received, n), r)
         assert {v for v in ball if member_value(v, r)} <= got
         assert all(
             (c ^ (c << 1)).bit_count() % 9 == r.s3 and padded_weight_sums_loop(c, n)[0] % m0 == r.s0
             for c in got
         )
         assert got <= ball
+
+
+@pytest.mark.parametrize("n", (7, 8))
+def test_every_word_is_placed_from_every_word_within_two_edits(n):
+    # the decoder walks one order of the two edits per length change; for
+    # every length-n word and every word within two edits of it, built by
+    # the ball oracle rather than by the decoder's edit formula, the placed
+    # set under the word's own residues still holds the word
+    for c in range(1 << n):
+        x = Word.from_int(c, n)
+        r = syndrome_tuple(x)
+        for received in union_ball(x):
+            assert c in candidate_preimages(received, r), (x, received)
 
 
 def _outcome(fn):
@@ -426,11 +443,14 @@ def test_placement_matches_the_path_oracle_at_the_decode_workload_lengths(n):
             else:
                 received = apply_errors(x, random_pattern(rng, n, counts=rng.choice(kinds)))
             paths = second_edit_sums(received, n)
+            all_paths = all_orders_second_edit_sums(received, n)
             ends = [syndrome_tuple(Word.from_int(c, n)) for c, _, _ in rng.sample(paths, 6)]
-            for r in [syndrome_tuple(x), *ends]:
-                assert candidate_preimages(received, r) == placed_preimages(paths, r), (received, r)
+            residues = [syndrome_tuple(x), *ends]
             for _ in range(3):
                 s3, s0 = rng.randrange(9), rng.randrange(m0)
                 s1 = _s1_to_place(rng, paths, s3, s0, n)
-                r = SyndromeTuple(n, s0, s1, rng.randrange(m2), s3)
-                assert candidate_preimages(received, r) == placed_preimages(paths, r), (received, r)
+                residues.append(SyndromeTuple(n, s0, s1, rng.randrange(m2), s3))
+            for r in residues:
+                got = candidate_preimages(received, r)
+                assert got == placed_preimages(paths, r), (received, r)
+                assert got <= placed_preimages(all_paths, r), (received, r)
