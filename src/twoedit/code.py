@@ -5,14 +5,16 @@ set of words whose syndrome tuple equals it.
 
 Pairwise verification collects in one sweep.  It keeps the first word of
 every class and starts a member list only when a second word arrives, since
-only classes of two or more words hold a pair to check.  It then lists
-those classes' pairs as packed values and measures ``PAIR_CHUNK`` of them at
-a time in one pass of ``channel.edit_distances``: each pair is one field of
-a big integer, and each of the n steps of Myers' algorithm advances every
-pair's DP column at once.  The chunks keep those integers a few tens of
-kilobytes at any n, and only a pair closer than 5 is turned into ``Word``s.
-All of it runs in one process: a pair costs well under a microsecond, so a
-pool that ships the classes to other processes loses at every length.
+only classes of two or more words hold a pair to check; the classes stay
+keyed by their packed keys.  Their pairs go out as packed values, each with
+its class key, and ``PAIR_CHUNK`` of them at a time are measured in one pass
+of ``channel.edit_distances``: each pair is one field of a big integer, and
+each of the n steps of Myers' algorithm advances every pair's DP column at
+once.  The chunks keep those integers a few tens of kilobytes at any n.
+Only a pair closer than 5 is turned into ``Word``s, and only its key is
+unpacked (``syndrome.unpack_key``).  All of it runs in one process: a pair
+costs well under a microsecond, so shipping the classes to other processes
+loses at every length.
 
 Census, grouping and enumeration share one split-word sweep.  A word is a
 head ``hi`` of h = n // 2 bits followed by a tail ``lo`` of t = n - h bits.
@@ -79,6 +81,7 @@ from .syndrome import (
     padded_weight_sums,
     power_sums,
     reduce_sums,
+    unpack_key,
 )
 from .words import Word
 
@@ -310,8 +313,8 @@ class Census(NamedTuple):
 
 
 def bucket_census(n: int, cap: int | None = None) -> Census:
-    """Class sizes over all of {0,1}^n, in one process: shipping the
-    per-shard counts back from a pool costs more than the sweep saves."""
+    """Class sizes over all of {0,1}^n, keyed by packed residue key, from
+    one sweep of ``_split_keys`` in this process."""
     _check_cap(n, cap)
     counts: Counter = Counter()
     for _, keys in _split_keys(n, moduli(n)):
@@ -402,12 +405,10 @@ def _radices(n: int, mode: str) -> tuple[int, int, int, int]:
     raise ValueError(f"unknown sweep mode {mode!r}")
 
 
-def _shared_classes(
-    n: int, mode: str, cap: int | None = None
-) -> tuple[int, list[tuple[tuple[int, ...], list[int]]]]:
+def _shared_classes(n: int, mode: str, cap: int | None = None) -> tuple[int, dict[int, list[int]]]:
     """The number of occupied classes, and the classes holding two or more
-    words as ascending ``(key, members)`` pairs: a residue tuple, or the
-    exact weight sums, with its members in ascending packed value."""
+    words as ``{packed key: members}``, the members in ascending packed
+    value (see ``_split_keys`` for the key)."""
     _check_cap(n, cap)
     radices = _radices(n, mode)
     first: dict[int, int] = {}
@@ -420,52 +421,39 @@ def _shared_classes(
                 members[key].append(v)
             else:
                 members[key] = [first[key], v]
-    _, r1, r2, r3 = radices
-    below_s1 = r2 * r3
-    below_s0 = r1 * below_s1
-    # the mixed-radix pack orders keys as their tuples
-    return len(first), [
-        ((key // below_s0, key // below_s1 % r1, key // r3 % r2, key % r3), values)
-        for key, values in sorted(members.items())
-    ]
-
-
-def _distance_shard(n: int, items: list[tuple[tuple[int, ...], list[int]]]):
-    """``(pairs, min_distance, violations)`` over the pairs within each of
-    the classes ``items``, the violations in the order of their pairs."""
-    from .channel import edit_distances  # here, so that importing the CLI does not load it
-
-    pairs = (pair for _, values in items for pair in combinations(values, 2))
-    count = 0
-    lows: list[int] = []
-    close: list[tuple[int, int, int]] = []
-    while chunk := list(islice(pairs, PAIR_CHUNK)):
-        distances = edit_distances(*zip(*chunk), n, n)
-        count += len(chunk)
-        lows.append(min(distances))
-        if lows[-1] <= 4:
-            close += [(a, b, d) for (a, b), d in zip(chunk, distances) if d <= 4]
-    violations = []
-    if close:  # only then is each word's class looked up
-        owner = {v: key for key, values in items for v in values}
-        violations = [
-            DistanceViolation(Word.from_int(a, n), Word.from_int(b, n), d, owner[a])
-            for a, b, d in close
-        ]
-    return count, min(lows, default=None), violations
+    return len(first), members
 
 
 def scan_pairwise_distance(n: int, mode: str = MODE_BUCKET, cap: int | None = None) -> SweepReport:
-    """Check the distance >= 5 requirement in every group, in one process."""
-    groups, items = _shared_classes(n, mode, cap)
-    pairs, min_distance, violations = _distance_shard(n, items)
-    violations.sort(key=lambda v: (v.x.value, v.y.value))
+    """Check the distance >= 5 requirement in every group, in one process:
+    each pair within a shared class goes through ``channel.edit_distances``
+    ``PAIR_CHUNK`` at a time with its class key, and only a violation's key
+    is unpacked, into the four residues (or the exact sums)."""
+    from .channel import edit_distances  # here, so that importing the CLI does not load it
+
+    groups, members = _shared_classes(n, mode, cap)
+    pairs = ((key, a, b) for key, values in members.items() for a, b in combinations(values, 2))
+    count = 0
+    lows: list[int] = []
+    close: list[tuple[int, int, int, int]] = []
+    while chunk := list(islice(pairs, PAIR_CHUNK)):
+        keys, xs, ys = zip(*chunk)
+        distances = edit_distances(xs, ys, n, n)
+        count += len(chunk)
+        lows.append(min(distances))
+        if lows[-1] <= 4:
+            close += [(a, b, d, key) for key, a, b, d in zip(keys, xs, ys, distances) if d <= 4]
+    radices = _radices(n, mode)
+    close.sort()  # by (x.value, y.value): no pair occurs twice
     return SweepReport(
         n=n,
         mode=mode,
         words=1 << n,
         groups=groups,
-        pairs=pairs,
-        min_distance=min_distance,
-        violations=tuple(violations),
+        pairs=count,
+        min_distance=min(lows, default=None),
+        violations=tuple(
+            DistanceViolation(Word.from_int(a, n), Word.from_int(b, n), d, unpack_key(key, radices))
+            for a, b, d, key in close
+        ),
     )

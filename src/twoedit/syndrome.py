@@ -32,6 +32,16 @@ def moduli(n: int) -> tuple[int, int, int, int]:
     return (4 * n, 2 * n * n, 2 * n * n * n, COUNT_MODULUS)
 
 
+def unpack_key(key: int, radices: Sequence[int]) -> tuple[int, int, int, int]:
+    """The four digits of the mixed-radix ``key``,
+    ((s0 * r1 + s1) * r2 + s2) * r3 + s3, most significant first."""
+    _, r1, r2, r3 = radices
+    key, s3 = divmod(key, r3)
+    key, s2 = divmod(key, r2)
+    s0, s1 = divmod(key, r1)
+    return s0, s1, s2, s3
+
+
 # A NamedTuple may not define __new__, so the subclass SyndromeTuple checks the fields.
 class _SyndromeFields(NamedTuple):
     n: int
@@ -69,11 +79,7 @@ class SyndromeTuple(_SyndromeFields):
 
     @classmethod
     def unpack(cls, key: int, n: int) -> "SyndromeTuple":
-        _, m1, m2, m3 = moduli(n)
-        key, s3 = divmod(key, m3)
-        key, s2 = divmod(key, m2)
-        s0, s1 = divmod(key, m1)
-        return cls(n, s0, s1, s2, s3)
+        return cls(n, *unpack_key(key, moduli(n)))
 
     def to_kv(self) -> str:
         return f"n={self.n} s0={self.s0} s1={self.s1} s2={self.s2} s3={self.s3}"

@@ -754,10 +754,17 @@ def syndrome_groups(n: int, exact: bool) -> dict[tuple[int, ...], list[int]]:
     return groups
 
 
-def scan_pairwise_distance(n: int, mode: str) -> SweepReport:
+def scan_pairwise_distance(n: int, mode: str, radices=None) -> SweepReport:
     """``code.scan_pairwise_distance`` from every word-by-word group and the
-    DP distance of every pair in it."""
-    groups = syndrome_groups(n, exact=mode == MODE_EXACT)
+    DP distance of every pair in it.  With ``radices`` the words are grouped
+    by their exact sums reduced by those instead, as a sweep packing its
+    keys with them would group them."""
+    if radices is None:
+        groups = syndrome_groups(n, exact=mode == MODE_EXACT)
+    else:
+        groups = {}
+        for v, sums in enumerate(sweep_keys(n, exact=True)):
+            groups.setdefault(tuple(s % r for s, r in zip(sums, radices)), []).append(v)
     distances = []
     violations = []
     for key in sorted(groups):

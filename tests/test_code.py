@@ -17,7 +17,6 @@ from twoedit.code import (
     MODE_EXACT,
     PAIR_CHUNK,
     ResourceCapError,
-    _distance_shard,
     best_params,
     bucket_census,
     decode_index,
@@ -36,6 +35,7 @@ from twoedit.syndrome import (
     padded_weight_sums,
     reduce_sums,
     syndrome_tuple,
+    unpack_key,
 )
 from twoedit.words import Word
 
@@ -123,10 +123,12 @@ def test_census_matches_the_word_by_word_sweep(n):
 @pytest.mark.parametrize("n", range(7, 17))
 @pytest.mark.parametrize("mode", (MODE_BUCKET, MODE_EXACT))
 def test_groups_match_the_word_by_word_sweep(n, mode):
-    groups, shared = code._shared_classes(n, mode)
+    groups, members = code._shared_classes(n, mode)
     reference = oracles.syndrome_groups(n, exact=mode == MODE_EXACT)
     assert groups == len(reference)
-    assert shared == sorted((key, values) for key, values in reference.items() if len(values) > 1)
+    radices = code._radices(n, mode)
+    shared = {unpack_key(key, radices): values for key, values in members.items()}
+    assert shared == {key: values for key, values in reference.items() if len(values) > 1}
 
 
 @pytest.mark.parametrize("n", range(7, 17))
@@ -337,6 +339,8 @@ def test_enumeration_cap():
         bucket_census(5)
     with pytest.raises(ValueError):
         code._shared_classes(5, MODE_BUCKET)
+    with pytest.raises(ValueError, match="^unknown sweep mode 'sideways'$"):
+        scan_pairwise_distance(9, "sideways")
     with pytest.raises(ResourceCapError, match="^length 7 exceeds enumeration cap 6$"):
         bucket_census(7, 6)
     assert bucket_census(10, 10).total() == 1 << 10
@@ -375,37 +379,52 @@ def test_distance_sweeps_pass(mode):
             assert report.min_distance >= 5
 
 
-def test_sweep_violation_reporting_machinery():
+def test_sweep_violation_reporting_machinery(monkeypatch):
     # synthetic group of close words exercises the witness path
-    pairs, min_distance, violations = _distance_shard(
-        7, [((0, 0, 0, 0), [0b0000000, 0b0000001, 0b1111111])]
+    members = {0: [0b0000000, 0b0000001, 0b1111111]}
+    monkeypatch.setattr(code, "_shared_classes", lambda n, mode, cap: (1, members))
+    report = scan_pairwise_distance(7)
+    assert report.pairs == 3
+    assert report.min_distance == 1
+    assert report.violations == (
+        DistanceViolation(Word("0000000"), Word("0000001"), 1, (0, 0, 0, 0)),
     )
-    assert pairs == 3
-    assert min_distance == 1
-    assert violations == [
-        DistanceViolation(Word("0000000"), Word("0000001"), 1, (0, 0, 0, 0))
-    ]
 
 
-def test_a_shard_of_one_chunk_plus_one_pair_matches_the_dp():
+def test_a_shard_of_one_chunk_plus_one_pair_matches_the_dp(monkeypatch):
     # PAIR_CHUNK - 189 classes of two, then one of 20 words (190 pairs) that
     # straddles the chunk boundary; its last pair, alone in the second chunk,
-    # is at distance 1
+    # is at distance 1.  Residue s0 = 63 is -1 mod 4n.
     rng = random.Random(20)
     evens = rng.sample(range(0, 1 << 16, 2), 2 * (PAIR_CHUNK - 189) + 19)
-    items = [((i, 0, 0, 0), sorted(evens[2 * i : 2 * i + 2])) for i in range(PAIR_CHUNK - 189)]
+    items = [((0, 0, i, 0), sorted(evens[2 * i : 2 * i + 2])) for i in range(PAIR_CHUNK - 189)]
     last = sorted(evens[2 * (PAIR_CHUNK - 189) :])
-    items.append(((-1, 0, 0, 0), last + [last[-1] + 1]))
+    items.append(((63, 0, 0, 0), last + [last[-1] + 1]))
     expected = []
     for key, values in items:
         for a, b in combinations(values, 2):
             x, y = Word.from_int(a, 16), Word.from_int(b, 16)
             expected.append((x, y, oracles.edit_distance_dp(x, y), key))
     assert len(expected) == PAIR_CHUNK + 1
-    pairs, min_distance, violations = _distance_shard(16, items)
-    assert (pairs, min_distance) == (PAIR_CHUNK + 1, 1)
-    assert violations == [DistanceViolation(*e) for e in expected if e[2] <= 4]
-    assert violations[-1] == DistanceViolation(*expected[-1])
+    members = {SyndromeTuple(16, *key).pack(): values for key, values in items}
+    monkeypatch.setattr(code, "_shared_classes", lambda n, mode, cap: (len(items), members))
+    report = scan_pairwise_distance(16)
+    assert (report.pairs, report.min_distance) == (PAIR_CHUNK + 1, 1)
+    close = sorted((e for e in expected if e[2] <= 4), key=lambda e: (e[0].value, e[1].value))
+    assert report.violations == tuple(DistanceViolation(*e) for e in close)
+    assert DistanceViolation(*expected[-1]) in report.violations
+
+
+@pytest.mark.parametrize(("n", "dropped", "count"), [(8, 2, 19), (9, 0, 1), (8, 1, 4)])
+def test_the_sweep_finds_real_violations_with_a_residue_dropped(monkeypatch, n, dropped, count):
+    # a radix of 1 reduces its sum to 0, so its residue no longer splits
+    # classes, and words closer than 5 share one
+    radices = tuple(1 if j == dropped else r for j, r in enumerate(moduli(n)))
+    monkeypatch.setattr(code, "_radices", lambda n, mode: radices)
+    report = scan_pairwise_distance(n)
+    assert report == oracles.scan_pairwise_distance(n, MODE_BUCKET, radices)
+    assert report.violations and report.min_distance <= 4
+    assert len(report.violations) == count
 
 
 def test_exact_groups_refine_buckets():
