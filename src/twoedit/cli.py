@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from typing import Iterator
 
@@ -385,6 +386,9 @@ def _add_common(sub: argparse.ArgumentParser, io_words: bool = False, cap: bool 
 
 def _add_command(subs, name: str, handler, summary: str, params: bool = False):
     sub = subs.add_parser(name, help=summary)
+    # an argparse internal, as in _parse_args: a value such as -1,0,1 is read
+    # as a value, not an option, as are plain negative numbers
+    sub._negative_number_matcher = re.compile(r"-\.?\d")
     sub.set_defaults(handler=handler)
     if params:
         sub.add_argument(
@@ -403,8 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twoedit",
         description="Tools for binary codes correcting two insertions/deletions/substitutions.",
+        # a fixed help column and a named metavar, so every Python >= 3.10 wraps alike
+        formatter_class=functools.partial(argparse.HelpFormatter, max_help_position=15),
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = _add_command(subs, "syndrome", _cmd_syndrome, "residue tuple of each word")
     _add_common(p, io_words=True)

@@ -279,14 +279,15 @@ class Census(NamedTuple):
     def top(self, k: int) -> list[tuple[SyndromeTuple, int]]:
         """Largest k classes, ties broken by ascending packed key.
 
-        Only classes that can rank are sorted.  The sizes, one byte per
+        Only classes that can rank are compared.  The sizes, one byte per
         class in the dict's order, are filtered at C speed: ``above`` keeps
-        the sizes of at least t, and t rises from 2 while at least k classes
+        the sizes of at least t, and t rises from 1 while at least k classes
         would stay, so every class below t is outranked by k others.  The
-        kept keys are read off the dict by the same filter as a byte mask.
-        Singletons rank only when fewer than k classes hold two or more
-        words, as at every n <= 10.
+        kept keys are read off the dict by the same filter as a byte mask,
+        and the k largest of them are selected, singletons on the same path.
         """
+        from heapq import nsmallest  # as array in _split_keys: not loaded at launch
+
         if k < 0:
             raise ValueError(f"k must be at least 0, got {k}")
         if k == 0:  # no threshold would leave fewer than k classes
@@ -294,18 +295,15 @@ class Census(NamedTuple):
         counts = self.counts
         try:
             sizes = bytearray(counts.values())
-        except ValueError:  # a class of 256 or more words: sort them all
-            ranked = sorted((-size, key) for key, size in counts.items())
+        except ValueError:  # a class of 256 or more words: compare them all
+            ranked = nsmallest(k, ((-size, key) for key, size in counts.items()))
         else:
-            t, above = 2, sizes.translate(None, b"\x00\x01")
+            t, above = 1, sizes.translate(None, b"\x00")
             while len(rest := above.translate(None, bytes((t,)))) >= k:
                 t, above = t + 1, rest
             keep = bytes(t) + bytes(range(t, 256))  # zero for every size below t
-            ranked = sorted(zip(map(neg, above), compress(counts, sizes.translate(keep))))
-            if len(ranked) < k:  # fewer than k classes of two or more words
-                singles = sorted(key for key, size in counts.items() if size == 1)
-                ranked += [(-1, key) for key in singles[: k - len(ranked)]]
-        return [(SyndromeTuple.unpack(key, self.n), -negated) for negated, key in ranked[:k]]
+            ranked = nsmallest(k, zip(map(neg, above), compress(counts, sizes.translate(keep))))
+        return [(SyndromeTuple.unpack(key, self.n), -negated) for negated, key in ranked]
 
     def largest(self) -> tuple[SyndromeTuple, int]:
         """The largest class, ties broken by ascending packed key."""

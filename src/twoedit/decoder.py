@@ -182,20 +182,13 @@ def candidate_preimages(received: Word, p: SyndromeTuple) -> set[int]:
                     # the lowest k where slope * k + A_{k+shift} reaches goal: the
                     # sum rises strictly for slope 2 and never rises for slope 0
                     lo, hi = 0, size
-                    if slope:
-                        while lo < hi:
-                            mid = (lo + hi) >> 1
-                            if slope * mid + (t >> (mid + shift)).bit_count() >= goal:
-                                hi = mid
-                            else:
-                                lo = mid + 1
-                    else:
-                        while lo < hi:
-                            mid = (lo + hi) >> 1
-                            if (t >> (mid + shift)).bit_count() <= goal:
-                                hi = mid
-                            else:
-                                lo = mid + 1
+                    while lo < hi:
+                        mid = (lo + hi) >> 1
+                        a = (t >> (mid + shift)).bit_count()
+                        if slope * mid + a >= goal if slope else a <= goal:
+                            hi = mid
+                        else:
+                            lo = mid + 1
                     # goal holds at lo + 1 only if at lo: a slope-0 run of clear T bits,
                     # where a family applies only at lo, or from lo or lo + 1 on,
                     # giving one word; so k is lo where the family applies there
@@ -212,7 +205,7 @@ def decode(received: Word, p: SyndromeTuple) -> Word:
     """The unique codeword within two edits of ``received``."""
     if len(received) == p.n and is_codeword(received, p):
         return received
-    survivors = sorted(v for v in candidate_preimages(received, p) if member_value(v, p))
+    survivors = [v for v in candidate_preimages(received, p) if member_value(v, p)]
     if not survivors:
         raise NoCandidateError(f"{received} is not within {MAX_EDITS} edits of any codeword")
     if len(survivors) > 1:

@@ -55,10 +55,14 @@ def test_pattern_validation():
     assert unsorted == ErrorPattern(deletions=(2, 5), insertions=((0, 0), (3, 1)))
     with pytest.raises(ValueError, match="unknown edit kind 'swap'"):
         parse_pattern("swap@1=0")
-    with pytest.raises(ValueError):
-        apply_errors(Word("101"), ErrorPattern(deletions=(4,)))
-    with pytest.raises(ValueError):
-        apply_errors(Word("101"), ErrorPattern(insertions=((4, 1),)))
+    outside = [
+        ({"substitutions": ((4, 1),)}, "substitution position 4"),
+        ({"deletions": (4,)}, "deletion position 4"),
+        ({"insertions": ((4, 1),)}, "insertion gap 4"),
+    ]
+    for fields, where in outside:
+        with pytest.raises(ValueError, match=f"^{where} outside word of length 3$"):
+            apply_errors(Word("101"), ErrorPattern(**fields))
 
 
 def test_pattern_spec_roundtrip():

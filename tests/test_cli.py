@@ -418,6 +418,21 @@ def test_sigma_rejects_words_of_unequal_length(capsys):
     assert status == EXIT_USAGE and out == "" and "equal length" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "sigma", "--vector", "-1,0,1"),
+        ("check", "--n", "11", "01011011010", "--params", "-3,10,2434,8"),
+        ("analyze", "segment", "--x", "00010", "--y", "01110", "--cut", "4,2", "--rel", "-1,0"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_comma_list_may_start_with_a_minus_sign(argv, capsys):
+    # the list as the next argument reads as it does joined by "="
+    *head, flag, value = argv
+    assert run_cli(capsys, *argv) == run_cli(capsys, *head, f"{flag}={value}")
+
+
 @pytest.mark.parametrize("command", ("verify",))
 def test_workers_below_one_are_rejected(capsys, command):
     status, out, err = run_cli(capsys, command, "--n", "7", "--workers", "0", "--machine")
