@@ -265,7 +265,11 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     # parsed once for the whole batch, so a malformed one fails an empty batch too
     fixed = None if args.random else channel.parse_pattern(args.pattern or "")
-    for w in _words(args):
+    words = _words(args)
+    if fixed is not None:  # a word it does not fit fails the batch before any record
+        for w in words:
+            fixed.validate_for(len(w))
+    for w in words:
         pattern = channel.random_pattern(rng, len(w)) if fixed is None else fixed
         result = channel.apply_errors(w, pattern)
         spec = channel.format_pattern(pattern) or "-"
@@ -398,13 +402,25 @@ def _add_command(subs, name: str, handler, summary: str, params: bool = False):
     return sub
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that quotes the choices of an invalid choice,
+    as Python 3.10 to 3.13.0 do and later 3.13 releases no longer do, so the
+    error reads alike on every interpreter; subparsers inherit the class."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and shared by
     every caller, so none may change it.  Parsing leaves it unchanged: each
     ``parse_args`` fills a fresh namespace, and help and usage are formatted
     when printed, at the terminal width of that moment."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twoedit",
         description="Tools for binary codes correcting two insertions/deletions/substitutions.",
         # a fixed help column and a named metavar, so every Python >= 3.10 wraps alike
@@ -497,7 +513,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     own parser reads the rest into a namespace holding the words, as that
     call's top-level pass leaves it, and the top-level parser reports what
     is left over.  An ``argv`` that starts with no command word (help, no
-    command, an unknown one) goes to that call itself."""
+    command, an unknown one) is read by the top-level parser itself."""
     argv = sys.argv[1:] if argv is None else list(argv)
     top = parser = build_parser()
     words = argparse.Namespace()
@@ -506,8 +522,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         setattr(words, subs.dest, argv[rest])
         parser = subs.choices[argv[rest]]
         rest += 1
-    if parser is top:
-        return top.parse_args(argv)
     args, extras = parser.parse_known_args(argv[rest:], words)
     if extras:
         top.error(f"unrecognized arguments: {' '.join(extras)}")

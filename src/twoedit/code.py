@@ -38,18 +38,17 @@ identity and the key holds the unreduced sums.
 The sweep works on whole tail rows, each packed into one integer with one
 fixed-width field per tail (SIMD within a register, Lamport 1975).  What
 depends only on n and the radices is a plan, built once per process and
-kept for the last few ``(n, radices)`` (``_plan``).  Its tails' scaled,
-reduced terms l_j are read off one table per component over the t + 1 bit
-tail masks, which doubling over the mask bits builds as ``syndrome`` builds
-its byte tables, and packed into one integer per component and last head
-bit.  The four components make one row sum for each head count c = 0..h
-(c fixes the head's last bit: it is odd iff that bit is 1), its count field
+kept for the last few ``(n, radices)`` (``_plan``).  Each transition
+mask's scaled, reduced terms come from the formula above, its sums read by
+``syndrome.transition_sums``: the tails' terms l_j, over their t + 1 bit
+masks, are packed into one integer per component and last head bit.  The
+four components make one row sum for each head count c = 0..h (c fixes the
+head's last bit: it is odd iff that bit is 1), its count field
 (c + lc) % r3 reduced as the heads reduce theirs below.  The plan keeps
-those h + 1 rows, the overflow bounds and three head tables, not the tail
-tables: the same doubling over the h bits of a head mask gives each head's
-scaled, reduced terms a_j.  A head reads them with one popcount and three
-lookups, and gets the keys of all 2^t of its words by a dozen big-integer
-operations: for reduced a and l,
+those h + 1 rows, the overflow bounds and three head tables, the terms a_j
+of each h-bit head mask, and no tail table.  A head reads its terms with one
+popcount and three lookups, and gets the keys of all 2^t of its words by a
+dozen big-integer operations: for reduced a and l,
 (a + l) % q == a + l - q * [l >= q - a], so the head adds a_0 + a_1 + a_2 to
 every field of its row sum, and for each component j subtracts q_j from the
 fields where l_j >= q_j - a_j, which a subtraction marks in each field's
@@ -71,7 +70,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, compress, islice
 from operator import neg
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .syndrome import (
     COUNT_MODULUS,
@@ -81,6 +80,7 @@ from .syndrome import (
     padded_weight_sums,
     power_sums,
     reduce_sums,
+    transition_sums,
     unpack_key,
 )
 from .words import Word
@@ -163,17 +163,6 @@ def _field_type(radices: tuple[int, int, int, int]) -> str:
     raise ValueError(f"keys at radices {radices} do not fit {bits}-bit fields")
 
 
-def _doubled(weights: Iterable[int], r: int, p: int) -> list[int]:
-    """The table over the masks of ``len(weights)`` bits whose entry m is
-    the sum of ``weights[b]`` over the set bits b of m, reduced mod r and
-    scaled by p: doubling over the bits, reduced and scaled as it grows."""
-    q, table = r * p, [0]
-    for w in weights:
-        w = w % r * p
-        table += [(x + w) % q for x in table]
-    return table
-
-
 @lru_cache(maxsize=4)
 def _plan(n: int, radices: tuple[int, int, int, int]):
     """What ``_split_keys`` needs at ``(n, radices)`` before its first head
@@ -204,19 +193,22 @@ def _plan(n: int, radices: tuple[int, int, int, int]):
     def packed(values) -> int:
         return int.from_bytes(array(typecode, values).tobytes(), sys.byteorder)
 
-    # One table per component over the t + 1 bit transition masks of a tail
-    # and the right pad.  Mask bit b, at position n - b of the word's n + 1
-    # bit mask, adds P_k(n + 2) - P_k(n + 1 - b) to sum k and 1 to the count.
-    powers = map(power_sums, range(n + 1, n - t, -1))  # P_k(n + 1 - b) for b = 0..t
-    weights = zip(*[(*(f - w for f, w in zip(fs, ws)), 1) for ws in powers])
-    tables = list(map(_doubled, weights, radices, (*places, 1)))
-    # Per last head bit, one packed column per component, read off the
-    # tables: after a last head bit 1 the transition into the tail, mask bit
-    # t, flips.
+    def terms(mask: int, length: int) -> tuple[int, int, int, int]:
+        # a transition mask's scaled, reduced terms (see padded_weight_sums)
+        # and its count column
+        c = mask.bit_count()
+        sums = zip(fs, transition_sums(mask, length), radices, places)
+        return *((c * f - s) % r * p for f, s, r, p in sums), c % r3
+
+    # Per last head bit, one packed column per component over the tails'
+    # t + 1 bit masks, the low bits of the word's n + 1 bit mask: after a
+    # last head bit 1 the transition into the tail, mask bit t, flips.
     low = (1 << (t + 1)) - 1
     masks = [(lo ^ (lo << 1)) & low for lo in range(1 << t)]
     flipped = [m ^ 1 << t for m in masks]
-    columns = [[packed(map(table.__getitem__, ms)) for table in tables] for ms in (masks, flipped)]
+    columns = [
+        [packed(col) for col in zip(*(terms(m, n + 1) for m in ms))] for ms in (masks, flipped)
+    ]
     # For reduced a and l, (a + l) % q == a + l - q * [l >= q - a].  With the
     # top bit of every field set, subtracting q - a from a column leaves that
     # bit set exactly where l >= q - a, so one subtraction reduces every field.
@@ -231,14 +223,11 @@ def _plan(n: int, radices: tuple[int, int, int, int]):
         rows.append(b0 + b1 + b2 + b3 + a3 * ones - wraps * r3)
     # Each head reduces its terms' sums with the row in the same way.
     bounds = [(b0 + half, b1 + half, b2 + half) for b0, b1, b2, _ in columns]
-    # The heads' terms by the same doubling: bit b of an h-bit head mask, at
-    # position h - 1 - b, adds P_k(n + 2) - P_k(h - b) to sum k.
-    powers = map(power_sums, range(h, 0, -1))  # P_k(h - b) for b = 0..h - 1
-    weights = zip(*[[f - w for f, w in zip(fs, ws)] for ws in powers])
-    heads = tuple(map(tuple, map(_doubled, weights, radices, places)))
-    # tuples, as every sweep of the process shares them
+    # The heads' terms, their h-bit masks the high bits of the word's mask;
+    # tuples, as every sweep of the process shares them.
+    *heads, _ = zip(*(terms(m, h) for m in range(1 << h)))
     above = (r0 * p0, r1 * p1, r2 * p2)
-    return typecode, size, top, ones, tuple(rows), tuple(bounds), above, heads
+    return typecode, size, top, ones, tuple(rows), tuple(bounds), above, tuple(heads)
 
 
 def _split_keys(n: int, radices: tuple[int, int, int, int]) -> Iterator[tuple[int, list[int]]]:

@@ -135,6 +135,13 @@ def test_corrupt_parses_its_pattern_before_the_batch(capsys, monkeypatch):
     assert run_cli(capsys, "corrupt", "--pattern", "garbage", "0000001") == expected
 
 
+def test_corrupt_checks_its_pattern_on_every_word_before_the_first_record(capsys):
+    expected = (EXIT_USAGE, "", "error: deletion position 9 outside word of length 7\n")
+    argv = ("corrupt", "--pattern", "del@9", "01011011010", "0000001", "--machine")
+    assert run_cli(capsys, *argv) == expected
+    assert run_cli(capsys, *argv[:4], "--machine")[0] == EXIT_OK
+
+
 def test_verify_modes(capsys):
     for mode in ("bucket", "exact"):
         status, out, _ = run_cli(capsys, "verify", "--n", "7", "--mode", mode, "--machine")
@@ -352,6 +359,41 @@ def test_golden_outputs(case, capsys, monkeypatch):
         status = exc.code
     captured = capsys.readouterr()
     assert (status, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def golden_interpreters() -> dict[tuple[int, ...], str]:
+    """One executable per distinct Python 3.10-3.13 that starts: the
+    ``python3`` and ``python3.10``..``python3.13`` of every PATH directory
+    and each ``~/.pyenv/versions/*/bin/python3``, keyed by version."""
+    names = ["python3"] + [f"python3.{minor}" for minor in range(10, 14)]
+    dirs = [Path(d) for d in os.environ.get("PATH", "").split(os.pathsep) if d]
+    candidates = [d / name for d in dirs for name in names]
+    candidates += sorted(Path.home().glob(".pyenv/versions/*/bin/python3"))
+    probe = "import sys; print(*sys.version_info[:3])"
+    found: dict[tuple[int, ...], str] = {}
+    for exe in dict.fromkeys(path.resolve() for path in candidates if path.is_file()):
+        try:
+            proc = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        version = tuple(map(int, proc.stdout.split())) if proc.returncode == 0 else ()
+        if (3, 10) <= version < (3, 14):
+            found.setdefault(version, str(exe))
+    return found
+
+
+def test_the_golden_table_matches_on_every_installed_interpreter():
+    found = golden_interpreters()
+    if not found:
+        pytest.skip("no Python 3.10-3.13 interpreter starts")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "tests" / "golden_check.py")
+    failed = {}
+    for version, exe in sorted(found.items()):
+        proc = subprocess.run([exe, script], env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            failed[".".join(map(str, version))] = proc.stdout + proc.stderr
+    assert failed == {}
 
 
 def readme_schema() -> dict[str, list[tuple[str, ...]]]:
